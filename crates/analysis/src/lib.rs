@@ -34,7 +34,7 @@ use oversub_metrics::json::{obj, JsonValue};
 /// Version stamp of the rule set, printed by `detlint` and recorded in
 /// bench JSON headers so artifacts say which invariants were in force.
 /// Bump when a rule is added, removed, or materially changed.
-pub const RULESET_VERSION: &str = "detlint-v6";
+pub const RULESET_VERSION: &str = "detlint-v7";
 
 /// Crates whose containers can reach simulation state: a nondeterministic
 /// iteration order here can change scheduling decisions and break the
@@ -54,11 +54,9 @@ const SIM_CRATES: &[&str] = &[
 /// simulation).
 const TIME_EXEMPT_CRATES: &[&str] = &["bench", "criterion"];
 
-/// The only library files allowed to create host threads (D5): the
-/// deterministic worker pool every parallel code path must go through,
-/// and the shard executor that runs intra-run lookahead windows on
-/// persistent workers with deterministic k-way merge folds (detlint-v6).
-const HOST_THREAD_FILES: &[&str] = &["crates/simcore/src/pool.rs", "crates/simcore/src/shard.rs"];
+/// The one library file allowed to create host threads: the deterministic
+/// worker pool every parallel code path must go through (D5).
+const THREAD_POOL_FILE: &str = "crates/simcore/src/pool.rs";
 
 /// One lint rule: id, searched tokens, and a description.
 struct Rule {
@@ -158,7 +156,7 @@ fn rule_applies(rule: &Rule, crate_name: &str, rel_path: &str) -> bool {
                 || rel_path == "crates/metrics/src/digest.rs"
         }
         "D4" => true,
-        "D5" => !HOST_THREAD_FILES.contains(&rel_path) && !TIME_EXEMPT_CRATES.contains(&crate_name),
+        "D5" => rel_path != THREAD_POOL_FILE && !TIME_EXEMPT_CRATES.contains(&crate_name),
         // simcore is exempt from D6: it defines SimRng, and its doc
         // examples and helpers are the construction reference.
         "D6" => SIM_CRATES.contains(&crate_name) && crate_name != "simcore",
@@ -863,7 +861,7 @@ reason = "probe-only set; never iterated"
         let a = r.to_json().to_string_compact();
         let b = r.to_json().to_string_compact();
         assert_eq!(a, b);
-        assert!(a.contains("\"ruleset\":\"detlint-v6\""));
+        assert!(a.contains("\"ruleset\":\"detlint-v7\""));
         assert!(!r.is_clean());
     }
 }

@@ -1,5 +1,6 @@
 //! Fixture corpus for the detlint rules (introduced with detlint-v5;
-//! the D5 shard-executor confinement pair landed with detlint-v6).
+//! the D5 confinement pair landed with detlint-v6 and was retargeted to
+//! the pool-only sanction in detlint-v7).
 //!
 //! Every rule D1–D7 has a violating and a clean fixture under
 //! `tests/fixtures/`. The violating snippet must fire exactly the
@@ -81,31 +82,32 @@ fn violating_fixtures_fire_exactly_their_rule() {
     }
 }
 
-/// D5 confinement (detlint-v6): host-thread creation is sanctioned at
-/// exactly two library files — the deterministic worker pool and the
-/// intra-run shard executor. The same worker-spawn snippet must be
-/// silent at the shard executor's path and fire D5 anywhere else in the
-/// crate.
+/// D5 confinement (detlint-v7): host-thread creation is sanctioned at
+/// exactly one library file, the deterministic worker pool. The
+/// worker-spawn snippet must be silent there and fire D5 anywhere else
+/// in the crate — including `crates/simcore/src/shard.rs`, the former
+/// intra-run shard executor, whose sanction detlint-v7 revoked.
 #[test]
-fn d5_confinement_permits_only_the_pool_and_shard_executor() {
-    for path in ["crates/simcore/src/pool.rs", "crates/simcore/src/shard.rs"] {
-        let found = scan_source("simcore", path, &read_fixture("d5_shard_clean.rs"));
-        let fired = found.iter().filter(|v| v.rule == "D5").count();
+fn d5_confinement_permits_only_the_pool() {
+    let d5_count = |path: &str, fixture: &str| {
+        let found = scan_source("simcore", path, &read_fixture(fixture));
+        found.iter().filter(|v| v.rule == "D5").count()
+    };
+    assert_eq!(
+        d5_count("crates/simcore/src/pool.rs", "d5_shard_clean.rs"),
+        0,
+        "the pool's sanctioned spawn site tripped D5"
+    );
+    for (path, fixture) in [
+        ("crates/simcore/src/shard.rs", "d5_shard_clean.rs"),
+        ("crates/simcore/src/lanes.rs", "d5_shard_violating.rs"),
+    ] {
         assert_eq!(
-            fired, 0,
-            "{path}: sanctioned spawn site tripped D5: {found:?}"
+            d5_count(path, fixture),
+            1,
+            "{path}: unsanctioned spawn site must fire D5 exactly once"
         );
     }
-    let found = scan_source(
-        "simcore",
-        "crates/simcore/src/lanes.rs",
-        &read_fixture("d5_shard_violating.rs"),
-    );
-    let fired = found.iter().filter(|v| v.rule == "D5").count();
-    assert_eq!(
-        fired, 1,
-        "unsanctioned spawn site must fire D5 exactly once: {found:?}"
-    );
 }
 
 #[test]

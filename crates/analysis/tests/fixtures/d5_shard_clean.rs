@@ -1,8 +1,8 @@
-// D5 shard-executor confinement, clean side: persistent named workers
-// spawned the way `simcore::shard` does. Sanctioned ONLY at
-// `crates/simcore/src/shard.rs` (see HOST_THREAD_FILES) — the executor
-// owns the workers for the whole run and folds results in shard order,
-// so determinism is preserved by construction.
+// D5 confinement, clean side: persistent named workers spawned the way
+// a deterministic executor would. Sanctioned ONLY at
+// `crates/simcore/src/pool.rs` (see THREAD_POOL_FILE). The same snippet
+// at the retired shard executor's path, `crates/simcore/src/shard.rs`,
+// fires D5: its sanction was revoked in detlint-v7.
 pub fn spawn_workers(n: usize) -> Vec<std::thread::JoinHandle<()>> {
     (1..n)
         .map(|i| {

@@ -1,7 +1,6 @@
-// D5 shard-executor confinement, violating side: the identical worker
-// spawn placed in any OTHER simcore module fires D5 — parallel work
-// must route through `simcore::pool` or `simcore::shard`, never grow a
-// third thread-creation site.
+// D5 confinement, violating side: the identical worker spawn placed in
+// any OTHER simcore module fires D5 — parallel work must route through
+// `simcore::pool`, never grow a second thread-creation site.
 pub fn spawn_workers(n: usize) -> Vec<std::thread::JoinHandle<()>> {
     (1..n)
         .map(|i| {

@@ -212,17 +212,6 @@ pub struct RunConfig {
     /// disable the resched-coalescing and cadence-lane fast paths (their
     /// correctness proofs assume FIFO ties).
     pub schedule_salt: u64,
-    /// Intra-run shard count for the deterministic parallel engine.
-    /// `0` (the default) means auto: honour the `OVERSUB_SHARDS`
-    /// environment variable, falling back to 1. `1` is the plain
-    /// sequential engine; `> 1` shards the per-CPU tick queues across
-    /// that many core groups and advances them concurrently under
-    /// conservative lookahead windows. The report is byte-identical at
-    /// any shard count — sharding only arms on configurations where the
-    /// equivalence proof holds (optimized engine, no fault plan, no
-    /// schedule salt, no trace/audit env toggles) and silently falls
-    /// back to sequential otherwise.
-    pub shards: usize,
 }
 
 impl RunConfig {
@@ -251,7 +240,6 @@ impl RunConfig {
             lockdep: false,
             race_detector: false,
             schedule_salt: 0,
-            shards: 0,
         }
     }
 
@@ -355,14 +343,6 @@ impl RunConfig {
     /// robustness certifier. `0` is the pinned production order.
     pub fn with_schedule_salt(mut self, salt: u64) -> Self {
         self.schedule_salt = salt;
-        self
-    }
-
-    /// Builder-style: set the intra-run shard count (`0` = auto via the
-    /// `OVERSUB_SHARDS` environment variable, `1` = sequential). See the
-    /// [`shards`](Self::shards) field.
-    pub fn with_shards(mut self, n: usize) -> Self {
-        self.shards = n;
         self
     }
 
@@ -486,13 +466,6 @@ impl RunConfig {
                 "fault injection is combined with the golden-determinism reference \
                  engine: the reference exists to prove fault-free byte-identity, so \
                  a chaos run on it proves nothing about the optimized engine"
-                    .to_string(),
-            );
-        }
-        if self.shards > 1 && self.reference_engine {
-            warnings.push(
-                "shards > 1 is combined with the reference engine: sharding only \
-                 arms on the optimized engine, so the run will execute sequentially"
                     .to_string(),
             );
         }

@@ -52,9 +52,6 @@ impl Engine {
             .futex
             .futex_wake(&mut self.sched, &mut self.tasks, key, n, CpuId(cpu), t);
         self.rc_futex_wake(cpu, key, &report.woken);
-        for w in &report.woken {
-            self.note_cross_shard(cpu, w.cpu.0, super::shard::Mail::Wake);
-        }
         self.charge_kernel(cpu, report.waker_cost_ns);
         let done = t + report.waker_cost_ns;
         self.post_wake_events(&report.woken, done);

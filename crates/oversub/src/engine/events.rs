@@ -136,7 +136,6 @@ impl Engine {
                         tried_steal_for_skip = true;
                         let (mig, cost) = self.sched.idle_pull(&mut self.tasks, CpuId(cpu), t);
                         if let Some(m) = mig {
-                            self.note_cross_shard(m.from.0, m.to.0, super::shard::Mail::Migrate);
                             self.trace.record(t, m.to.0, m.task, TraceKind::Migrate);
                             self.charge_kernel(cpu, cost);
                             t += cost;
@@ -180,7 +179,6 @@ impl Engine {
                     let Some(m) = mig else {
                         return;
                     };
-                    self.note_cross_shard(m.from.0, m.to.0, super::shard::Mail::Migrate);
                     self.trace.record(t, m.to.0, m.task, TraceKind::Migrate);
                     self.charge_kernel(cpu, cost);
                     t += cost;
@@ -291,7 +289,7 @@ impl Engine {
     pub(crate) fn on_balance(&mut self, cpu: usize) {
         // Skipped when the queue's auto-cadence rotation already re-armed
         // this timer during the pop (identical `(time, seq)` key).
-        if !self.last_pop_rotated() {
+        if !self.queue.last_pop_rotated() {
             self.queue.schedule_cadenced(
                 self.now + self.cfg.sched.balance_interval_ns,
                 self.cfg.sched.balance_interval_ns,
@@ -304,9 +302,6 @@ impl Engine {
         let (migs, cost) = self
             .sched
             .periodic_balance(&mut self.tasks, CpuId(cpu), self.now);
-        for m in &migs {
-            self.note_cross_shard(m.from.0, m.to.0, super::shard::Mail::Migrate);
-        }
         // Balance runs in softirq context; only charge when idle to keep
         // the running task's segment timing intact (cost is small).
         if self.sched.cpus[cpu].current.is_none() {
@@ -332,7 +327,6 @@ impl Engine {
             .sched
             .vanilla_wake(&mut self.tasks, tid, waker_cpu, self.now);
         self.sched.cpus[out.cpu.0].time.kernel_ns += out.cost_ns;
-        self.note_cross_shard(waker_cpu.0, out.cpu.0, super::shard::Mail::Wake);
         self.trace.record(self.now, out.cpu.0, tid, TraceKind::Wake);
         let t = self.now + out.cost_ns;
         self.sched_resched(t, out.cpu.0);
@@ -343,10 +337,6 @@ impl Engine {
     }
 
     pub(crate) fn on_elastic(&mut self, cores: usize) {
-        if self.sharded {
-            // An elasticity change touches every shard by definition.
-            self.shard_mail.note(self.now, super::shard::Mail::Elastic);
-        }
         let ncpu = self.sched.topo.num_cpus();
         let cores = cores.min(ncpu).max(1);
         self.sched.set_online_count(cores);

@@ -92,7 +92,7 @@ impl Engine {
         let Some(wd) = self.watchdog else { return };
         // Skipped when the queue's auto-cadence rotation already re-armed
         // this timer during the pop (identical `(time, seq)` key).
-        if !self.last_pop_rotated() {
+        if !self.queue.last_pop_rotated() {
             self.queue.schedule_cadenced(
                 self.now + wd.check_interval_ns,
                 wd.check_interval_ns,

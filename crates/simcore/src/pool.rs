@@ -44,7 +44,7 @@ impl std::fmt::Display for JobPanic {
 /// Downcast a panic payload into a printable message. Panic payloads are
 /// almost always `&str` or `String`; anything else gets a placeholder so
 /// the error stays structured instead of aborting the batch.
-pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {

@@ -74,13 +74,6 @@ pub struct TaskTable {
     /// task-count length only when `RunConfig::with_race_detector()` is
     /// set.
     pub race_clock: Vec<VClock>,
-
-    /// True while the sharded engine has a lookahead window open. The
-    /// columns stay global under sharding, but between sync points they
-    /// are owned by the windows' frozen classification: the central
-    /// mutators debug-assert the flag is clear (quiet ticks never touch
-    /// task state, so any write here during a window is an engine bug).
-    parallel_window: bool,
 }
 
 impl TaskTable {
@@ -106,27 +99,9 @@ impl TaskTable {
         (0..self.len()).map(TaskId)
     }
 
-    /// Mark a sharded-engine lookahead window open (`on = true`) or
-    /// closed. While open, the central mutators debug-assert they are
-    /// not called (columns are frozen between window sync points).
-    pub fn set_parallel_window(&mut self, on: bool) {
-        self.parallel_window = on;
-    }
-
-    /// Debug-mode ownership assert for the sharded engine (see
-    /// [`set_parallel_window`](Self::set_parallel_window)).
-    #[inline]
-    fn assert_window_closed(&self) {
-        debug_assert!(
-            !self.parallel_window,
-            "task table mutated inside an open lookahead window"
-        );
-    }
-
     /// Append a task built from a spawn record. The record's `id` must be
     /// the next free row (ids are dense and stable).
     pub fn push(&mut self, task: Task) -> TaskId {
-        self.assert_window_closed();
         debug_assert_eq!(task.id.0, self.len(), "non-dense task id {:?}", task.id);
         let id = TaskId(self.len());
         self.state.push(task.state);
@@ -163,7 +138,6 @@ impl TaskTable {
 
     /// Enter virtual blocking: save the true vruntime and park at the tail.
     pub fn vb_park(&mut self, tid: TaskId, tail_vruntime: u64) {
-        self.assert_window_closed();
         debug_assert!(!self.vb_blocked[tid.0], "double vb_park of {tid:?}");
         self.vb_saved_vruntime[tid.0] = Some(self.vruntime[tid.0]);
         self.vruntime[tid.0] = tail_vruntime;
@@ -172,7 +146,6 @@ impl TaskTable {
 
     /// Leave virtual blocking: restore the true vruntime.
     pub fn vb_unpark(&mut self, tid: TaskId) {
-        self.assert_window_closed();
         debug_assert!(self.vb_blocked[tid.0], "vb_unpark of unparked {tid:?}");
         self.vb_blocked[tid.0] = false;
         if let Some(v) = self.vb_saved_vruntime[tid.0].take() {
@@ -182,7 +155,6 @@ impl TaskTable {
 
     /// Record a wake request at `now` (wakeup-latency stats).
     pub fn note_wake_request(&mut self, tid: TaskId, now: SimTime) {
-        self.assert_window_closed();
         self.stats[tid.0].wakeups += 1;
         self.wake_requested_at[tid.0] = Some(now);
     }
