@@ -120,16 +120,10 @@ fn bench_runqueue(c: &mut Criterion) {
 }
 
 fn bench_event_queue(c: &mut Criterion) {
-    // One-shot events, random times: slab queue vs the reference
-    // heap+HashSet queue.
+    // One-shot events, random times: heap + cadence-lane queue vs the
+    // reference plain heap.
     let mut g = c.benchmark_group("event_queue_schedule_pop_1k");
-    for (name, classic, nocancel) in [
-        ("fast", false, false),
-        // The engine's hot path: events retired by epoch checks never get
-        // a cancellation handle, skipping the slab entirely.
-        ("fast_nocancel", false, true),
-        ("classic", true, false),
-    ] {
+    for (name, classic) in [("fast", false), ("classic", true)] {
         g.bench_function(name, |b| {
             let mut rng = SimRng::new(7);
             b.iter(|| {
@@ -139,12 +133,7 @@ fn bench_event_queue(c: &mut Criterion) {
                     EventQueue::new()
                 };
                 for i in 0..1_000u64 {
-                    let at = SimTime::from_nanos(rng.gen_range(1_000_000));
-                    if nocancel {
-                        q.schedule_nocancel(at, i);
-                    } else {
-                        q.schedule(at, i);
-                    }
+                    q.schedule(SimTime::from_nanos(rng.gen_range(1_000_000)), i);
                 }
                 let mut n = 0;
                 while q.pop().is_some() {
@@ -157,7 +146,9 @@ fn bench_event_queue(c: &mut Criterion) {
     g.finish();
 
     // The simulator's periodic cadence: 64 per-CPU timer streams, each
-    // re-arming itself 100 µs ahead as it fires — the timer wheel's case.
+    // re-arming itself 100 µs ahead as it fires — the cadence lanes' case.
+    // The staggered initial arms take the heap; the re-arms are monotone
+    // lane appends, as in the engine.
     let mut g = c.benchmark_group("event_queue_periodic_ticks_64cpus");
     for (name, classic) in [("fast", false), ("classic", true)] {
         g.bench_function(name, |b| {
@@ -168,13 +159,14 @@ fn bench_event_queue(c: &mut Criterion) {
                     EventQueue::new()
                 };
                 for cpu in 0..64u64 {
-                    q.schedule_periodic(SimTime::from_nanos(100_000 + cpu * 7_919), cpu);
+                    let at = SimTime::from_nanos(100_000 + cpu * 7_919);
+                    q.schedule_cadenced(at, 100_000, cpu);
                 }
                 let mut fired = 0u64;
                 while fired < 10_000 {
                     let (t, cpu) = q.pop().expect("periodic stream never drains");
                     fired += 1;
-                    q.schedule_periodic(t + 100_000, cpu);
+                    q.schedule_cadenced(t + 100_000, 100_000, cpu);
                 }
                 fired
             })

@@ -91,7 +91,7 @@ impl Engine {
             self.sched_resched(done + delay, w.cpu.0);
             if w.preempt && self.sched.cpus[w.cpu.0].current.is_some() {
                 self.queue
-                    .schedule_nocancel(done + delay, Event::PreemptCheck(w.cpu.0));
+                    .schedule(done + delay, Event::PreemptCheck(w.cpu.0));
             }
             // nohz idle kick: if the woken task landed on a busy queue
             // while another CPU sits idle, poke one idle CPU so its idle

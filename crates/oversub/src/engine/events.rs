@@ -156,10 +156,8 @@ impl Engine {
                     // Arm the stint's slice timer (chaos runs may add an
                     // injected expiry delay).
                     let slice = self.sched.slice_for(CpuId(cpu)) + self.slice_fault_delay();
-                    self.queue.schedule_nocancel(
-                        start_t + slice,
-                        Event::Slice(cpu, self.stint_epoch[cpu]),
-                    );
+                    self.queue
+                        .schedule(start_t + slice, Event::Slice(cpu, self.stint_epoch[cpu]));
                     self.sched.cpus[cpu].time.context_switches += 1;
                     self.advance_task(cpu, start_t);
                     return;
@@ -222,7 +220,7 @@ impl Engine {
             // Nobody else: extend the stint.
             let slice = self.sched.slice_for(CpuId(cpu)) + self.slice_fault_delay();
             self.queue
-                .schedule_nocancel(self.now + slice, Event::Slice(cpu, epoch));
+                .schedule(self.now + slice, Event::Slice(cpu, epoch));
             return;
         }
         // Preempt: save remaining work, requeue, pick next.
@@ -331,8 +329,7 @@ impl Engine {
         let t = self.now + out.cost_ns;
         self.sched_resched(t, out.cpu.0);
         if out.preempt && self.sched.cpus[out.cpu.0].current.is_some() {
-            self.queue
-                .schedule_nocancel(t, Event::PreemptCheck(out.cpu.0));
+            self.queue.schedule(t, Event::PreemptCheck(out.cpu.0));
         }
     }
 

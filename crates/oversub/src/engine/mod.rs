@@ -168,11 +168,11 @@ pub(crate) enum Event {
 ///
 /// Handler buckets include the event-queue *inserts* those handlers make
 /// (a resched handler's slice arming, a timer handler's re-arm): the
-/// `queue_pop_ns` bucket isolates the pop/peek side, which is where the
-/// fast queue's wheel and slab live.
+/// `queue_pop_ns` bucket isolates the pop side, which is where the fast
+/// queue's heap, cadence lanes and hot-lane cache live.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct PhaseProfile {
-    /// Popping the event queue (drain-cancelled + peek + pop).
+    /// Popping the event queue (heap/lane selection + pop + rotation).
     pub queue_pop_ns: u64,
     /// Resched and wakeup-preemption handlers — the runqueue pick paths.
     pub pick_ns: u64,
@@ -411,8 +411,8 @@ impl Engine {
         };
         if cfg.schedule_salt != 0 {
             // Certifier runs permute equal-time same-burst ties; the
-            // wheel/lane fast paths order by raw insertion sequence, so
-            // the salt also routes everything through the plain heap.
+            // cadence lanes order by raw insertion sequence, so the salt
+            // also routes everything through the plain heap.
             queue.set_tiebreak_salt(cfg.schedule_salt);
         }
         let timer_intervals: Vec<Option<u64>> = (0..mechs.len())
@@ -503,7 +503,7 @@ impl Engine {
             );
         }
         for ev in eng.cfg.elastic.clone() {
-            eng.queue.schedule_nocancel(ev.at, Event::Elastic(ev.cores));
+            eng.queue.schedule(ev.at, Event::Elastic(ev.cores));
         }
         if let Some(f) = &eng.faults {
             if f.plan.needs_tick() {
@@ -522,7 +522,7 @@ impl Engine {
             );
         }
         if eng.cfg.max_time.is_some() {
-            eng.queue.schedule_nocancel(end_cap, Event::Stop);
+            eng.queue.schedule(end_cap, Event::Stop);
         }
         // Auto-cadence rotation: in fault-free optimized runs every
         // cadenced re-arm is deterministic — `now + interval`, issued as
@@ -643,13 +643,13 @@ impl Engine {
     /// that the twin's `idle_pull` would then steal.
     pub(crate) fn sched_resched(&mut self, at: SimTime, cpu: usize) {
         if self.reference {
-            self.queue.schedule_nocancel(at, Event::Resched(cpu));
+            self.queue.schedule(at, Event::Resched(cpu));
             return;
         }
         if self.resched_pending[cpu] == Some((at, self.queue.seq_mark())) {
             return;
         }
-        self.queue.schedule_nocancel(at, Event::Resched(cpu));
+        self.queue.schedule(at, Event::Resched(cpu));
         self.resched_pending[cpu] = Some((at, self.queue.seq_mark()));
     }
 

@@ -203,14 +203,14 @@ impl Engine {
         match self.seg_event[cpu] {
             SegEventKind::WorkEnd | SegEventKind::ParkDeadline => {
                 self.queue
-                    .schedule_nocancel(self.seg_done_at[cpu], Event::SegEnd(cpu, e));
+                    .schedule(self.seg_done_at[cpu], Event::SegEnd(cpu, e));
             }
             SegEventKind::None => {}
         }
         if let Some((p, idx)) = self.spin_exit_at[cpu] {
             let np = p + delta;
             self.spin_exit_at[cpu] = Some((np, idx));
-            self.queue.schedule_nocancel(np, Event::SpinExit(cpu, e));
+            self.queue.schedule(np, Event::SpinExit(cpu, e));
         }
     }
 
@@ -253,7 +253,7 @@ impl Engine {
         self.seg_done_at[cpu] = t + scaled.max(1);
         self.seg_event[cpu] = SegEventKind::WorkEnd;
         self.spin_exit_at[cpu] = None;
-        self.queue.schedule_nocancel(
+        self.queue.schedule(
             self.seg_done_at[cpu],
             Event::SegEnd(cpu, self.seg_epoch[cpu]),
         );
@@ -274,7 +274,7 @@ impl Engine {
             Some(b) => {
                 self.seg_done_at[cpu] = t + b.max(1);
                 self.seg_event[cpu] = SegEventKind::ParkDeadline;
-                self.queue.schedule_nocancel(
+                self.queue.schedule(
                     self.seg_done_at[cpu],
                     Event::SegEnd(cpu, self.seg_epoch[cpu]),
                 );
@@ -295,7 +295,7 @@ impl Engine {
             Some((at, idx)) => {
                 self.spin_exit_at[cpu] = Some((at, idx));
                 self.queue
-                    .schedule_nocancel(at, Event::SpinExit(cpu, self.seg_epoch[cpu]));
+                    .schedule(at, Event::SpinExit(cpu, self.seg_epoch[cpu]));
             }
             None => {
                 self.spin_exit_at[cpu] = None;

@@ -136,8 +136,7 @@ impl Engine {
             let done = self.now + cost;
             self.sched_resched(done, cpu.0);
             if preempt && self.sched.cpus[cpu.0].current.is_some() {
-                self.queue
-                    .schedule_nocancel(done, Event::PreemptCheck(cpu.0));
+                self.queue.schedule(done, Event::PreemptCheck(cpu.0));
             }
         }
 

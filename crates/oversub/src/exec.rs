@@ -181,8 +181,7 @@ impl Engine {
                 self.stint_epoch[cpu] += 1;
                 self.seg_epoch[cpu] += 1;
                 self.spin_exit_at[cpu] = None;
-                self.queue
-                    .schedule_nocancel(t + syscall + ns, Event::IoDone(tid.0));
+                self.queue.schedule(t + syscall + ns, Event::IoDone(tid.0));
                 self.sched_resched(t + syscall, cpu);
                 Flow::Break
             }

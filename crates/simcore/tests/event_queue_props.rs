@@ -1,94 +1,57 @@
 //! Property tests of the event queue against a naive sorted-Vec model.
 //!
-//! The model keeps every scheduled entry as `(time, seq, payload, state)`
+//! The model keeps every scheduled entry as `(time, seq, payload, popped)`
 //! and pops the minimum `(time, seq)` among pending entries. Both queue
-//! flavors — the optimized slab/wheel queue and the classic heap+HashSet
-//! reference — must match it exactly: pop order, cancel return values,
-//! and the live-event count. Payloads are unique, so payload equality on
-//! every pop pins the *exact* global ordering, including FIFO among
-//! same-timestamp events scheduled through different paths (one-shot,
-//! no-cancel, periodic/wheel).
+//! flavors — the optimized heap + cadence-lane queue and the classic
+//! plain-heap reference — must match it exactly: pop order and the live
+//! event count. Payloads are unique, so payload equality on every pop pins
+//! the *exact* global ordering, including FIFO among same-timestamp
+//! events scheduled through different paths (one-shot heap, cadence lane,
+//! lane-rejected heap fallback).
 
-use oversub_simcore::{EventHandle, EventQueue, SimTime};
+use oversub_simcore::{EventQueue, SimTime};
 use proptest::prelude::*;
 
 #[derive(Clone, Copy, Debug)]
 enum Op {
-    /// Cancellable one-shot at `now + delta`.
+    /// One-shot at `now + delta`.
     Schedule(u64),
-    /// Hot-path one-shot without a cancellation handle.
-    ScheduleNocancel(u64),
-    /// Periodic-cadence entry (wheel-eligible when near, heap when far).
-    SchedulePeriodic(u64),
-    /// Declared-cadence entry (FIFO lane when monotone, else fallback).
-    /// The index selects from a small set of intervals so several pushes
-    /// share a lane and non-monotone pushes exercise the fallback.
+    /// Declared-cadence entry (FIFO lane when monotone, else heap). The
+    /// index selects from [`CADENCES`] so several pushes share a lane and
+    /// non-monotone pushes exercise the fallback.
     ScheduleCadenced(u64, usize),
-    /// Cancel the k-th handle ever returned (modulo how many exist).
-    Cancel(usize),
     Pop,
 }
 
-/// Cadences for `ScheduleCadenced`: below a wheel bucket, a typical
-/// timer interval, and beyond the wheel horizon.
-const CADENCES: [u64; 3] = [8_192, 100_000, 40_000_000];
+/// Cadences for `ScheduleCadenced`. There are more of them than the fast
+/// queue has lanes (8), so pushes on the last cadences take the
+/// lane-overflow path to the heap once the lanes have filled up.
+const CADENCES: [u64; 11] = [
+    8_192, 100_000, 40_000_000, 1_000, 250_000, 1_000_000, 10_000_000, 3_333, 77_777, 5_000_000,
+    123_456,
+];
 
-/// Deltas span the wheel's bucket size (2^15 ns) and its full horizon
-/// (2^15 ns × 1024 buckets ≈ 33.6 ms) so entries land in the current
-/// bucket, later buckets, and the far-future heap fallback.
 fn arb_ops() -> impl Strategy<Value = Vec<Op>> {
     proptest::collection::vec(
         prop_oneof![
             (0u64..100_000_000).prop_map(Op::Schedule),
-            (0u64..100_000_000).prop_map(Op::ScheduleNocancel),
-            (0u64..100_000_000).prop_map(Op::SchedulePeriodic),
             ((0u64..100_000_000), (0usize..CADENCES.len()))
                 .prop_map(|(d, i)| Op::ScheduleCadenced(d, i)),
-            (0usize..64).prop_map(Op::Cancel),
-            Just(Op::Pop),
             Just(Op::Pop),
         ],
         1..200,
     )
 }
 
-#[derive(Clone, Copy, Debug, PartialEq)]
-enum ModelState {
-    Pending,
-    Cancelled,
-    Popped,
-}
-
 struct Model {
-    /// One entry per schedule call, in seq (= insertion) order.
-    entries: Vec<(u64, u64, ModelState)>, // (time, payload, state)
-    /// Indices of entries that came from cancellable `schedule` calls.
-    handles: Vec<usize>,
+    /// One entry per schedule call, in seq (= insertion) order:
+    /// `(time, payload, popped)`.
+    entries: Vec<(u64, u64, bool)>,
 }
 
 impl Model {
-    fn new() -> Self {
-        Model {
-            entries: Vec::new(),
-            handles: Vec::new(),
-        }
-    }
-
-    fn schedule(&mut self, at: u64, payload: u64, cancellable: bool) {
-        self.entries.push((at, payload, ModelState::Pending));
-        if cancellable {
-            self.handles.push(self.entries.len() - 1);
-        }
-    }
-
-    fn cancel(&mut self, k: usize) -> bool {
-        let idx = self.handles[k];
-        if self.entries[idx].2 == ModelState::Pending {
-            self.entries[idx].2 = ModelState::Cancelled;
-            true
-        } else {
-            false
-        }
+    fn schedule(&mut self, at: u64, payload: u64) {
+        self.entries.push((at, payload, false));
     }
 
     /// Minimum (time, seq) pending entry; seq order is entry order.
@@ -97,66 +60,35 @@ impl Model {
             .entries
             .iter()
             .enumerate()
-            .filter(|(_, e)| e.2 == ModelState::Pending)
+            .filter(|(_, e)| !e.2)
             .min_by_key(|(seq, e)| (e.0, *seq))
             .map(|(seq, _)| seq)?;
-        self.entries[best].2 = ModelState::Popped;
+        self.entries[best].2 = true;
         Some((self.entries[best].0, self.entries[best].1))
     }
 
     fn live(&self) -> usize {
-        self.entries
-            .iter()
-            .filter(|e| e.2 == ModelState::Pending)
-            .count()
+        self.entries.iter().filter(|e| !e.2).count()
     }
 }
 
-/// `exact` asserts the slab queue's strengthened contract: exact `len()`
-/// at all times and exact `cancel()` return values. The classic queue
-/// only promises the seed's weaker one — `len()` is an upper bound until
-/// cancelled entries drain past the heap top, and cancelling an
-/// already-popped handle may spuriously report success (it cannot tell
-/// popped from pending; the slab's generation check can).
-fn check_against_model(mut q: EventQueue<u64>, ops: Vec<Op>, exact: bool) {
-    let mut model = Model::new();
-    let mut handles: Vec<EventHandle> = Vec::new();
+fn check_against_model(mut q: EventQueue<u64>, ops: Vec<Op>) {
+    let mut model = Model {
+        entries: Vec::new(),
+    };
     let mut next_payload = 0u64;
     let mut now = 0u64; // last popped time: schedules are now-relative
     for op in ops {
         match op {
             Op::Schedule(d) => {
-                let h = q.schedule(SimTime::from_nanos(now + d), next_payload);
-                handles.push(h);
-                model.schedule(now + d, next_payload, true);
-                next_payload += 1;
-            }
-            Op::ScheduleNocancel(d) => {
-                q.schedule_nocancel(SimTime::from_nanos(now + d), next_payload);
-                model.schedule(now + d, next_payload, false);
-                next_payload += 1;
-            }
-            Op::SchedulePeriodic(d) => {
-                q.schedule_periodic(SimTime::from_nanos(now + d), next_payload);
-                model.schedule(now + d, next_payload, false);
+                q.schedule(SimTime::from_nanos(now + d), next_payload);
+                model.schedule(now + d, next_payload);
                 next_payload += 1;
             }
             Op::ScheduleCadenced(d, i) => {
                 q.schedule_cadenced(SimTime::from_nanos(now + d), CADENCES[i], next_payload);
-                model.schedule(now + d, next_payload, false);
+                model.schedule(now + d, next_payload);
                 next_payload += 1;
-            }
-            Op::Cancel(k) => {
-                if !handles.is_empty() {
-                    let k = k % handles.len();
-                    let got = q.cancel(handles[k]);
-                    let want = model.cancel(k);
-                    if exact {
-                        prop_assert_eq!(got, want, "cancel return value diverged");
-                    } else if want {
-                        prop_assert!(got, "classic cancel refused a pending event");
-                    }
-                }
             }
             Op::Pop => {
                 let got = q.pop().map(|(t, p)| (t.as_nanos(), p));
@@ -167,11 +99,7 @@ fn check_against_model(mut q: EventQueue<u64>, ops: Vec<Op>, exact: bool) {
                 }
             }
         }
-        if exact {
-            prop_assert_eq!(q.len(), model.live(), "live count diverged");
-        } else {
-            prop_assert!(q.len() >= model.live(), "classic len below live count");
-        }
+        prop_assert_eq!(q.len(), model.live(), "live count diverged");
         prop_assert_eq!(q.is_empty(), model.live() == 0);
     }
     // Drain: the tail order must match too.
@@ -188,17 +116,17 @@ fn check_against_model(mut q: EventQueue<u64>, ops: Vec<Op>, exact: bool) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
-    /// The optimized slab + timer-wheel queue matches the naive model.
+    /// The optimized heap + cadence-lane queue matches the naive model.
     #[test]
     fn fast_queue_matches_model(ops in arb_ops()) {
-        check_against_model(EventQueue::new(), ops, true);
+        check_against_model(EventQueue::new(), ops);
     }
 
     /// The classic reference queue matches the same model, so both queue
     /// flavors are interchangeable event-for-event.
     #[test]
     fn classic_queue_matches_model(ops in arb_ops()) {
-        check_against_model(EventQueue::classic(), ops, false);
+        check_against_model(EventQueue::classic(), ops);
     }
 
     /// Auto-cadence rotation is invisible: a fast queue that re-arms
@@ -212,7 +140,7 @@ proptest! {
         // (timer id, initial stagger) pairs; ids pick one of CADENCES.
         timers in proptest::collection::vec(
             ((0usize..CADENCES.len()), (0u64..200_000)), 1..24),
-        // Interleaved one-shot noise: (delta, count) batches.
+        // Interleaved one-shot noise deltas.
         noise in proptest::collection::vec(0u64..300_000, 0..16),
         pops in 32usize..256,
     ) {
@@ -229,8 +157,8 @@ proptest! {
         }
         for (j, &d) in noise.iter().enumerate() {
             let p = (timers.len() + j) as u64;
-            fast.schedule_nocancel(SimTime::from_nanos(d), p);
-            classic.schedule_nocancel(SimTime::from_nanos(d), p);
+            fast.schedule(SimTime::from_nanos(d), p);
+            classic.schedule(SimTime::from_nanos(d), p);
         }
         for _ in 0..pops {
             let got = fast.pop();

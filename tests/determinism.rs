@@ -1,9 +1,9 @@
 //! Golden determinism test for the engine hot-path overhaul.
 //!
-//! The optimized engine (slab-cancellation event queue + timer wheel,
-//! cached runqueue picks, resched coalescing) must produce **bit-identical
-//! metrics** to the reference engine (classic heap+HashSet queue, uncached
-//! scans, no coalescing) on every workload class the tier-1 suite covers.
+//! The optimized engine (heap + cadence-lane event queue, cached runqueue
+//! picks, resched coalescing) must produce **bit-identical metrics** to
+//! the reference engine (classic plain-heap queue, uncached scans, no
+//! coalescing) on every workload class the tier-1 suite covers.
 //! Reports are compared through their canonical JSON serialization, which
 //! is integer-exact, so equality here means every counter, histogram
 //! bucket, and timing field matches to the last bit.
@@ -104,7 +104,7 @@ fn skeleton_benchmarks_are_bit_identical() {
 fn idle_heavy_machine_is_bit_identical() {
     // 8 threads on 64 CPUs: the event mix is dominated by periodic BWD
     // timers and balance passes on idle cores, which is exactly where the
-    // timer wheel and the waiter-board O(1) early-outs (idle_pull,
+    // cadence lanes and the waiter-board O(1) early-outs (idle_pull,
     // periodic_balance) fire most — this pins their equivalence proofs.
     let profile = BenchProfile::by_name("streamcluster").expect("known benchmark");
     let cfg = RunConfig::vanilla(64)
