@@ -16,6 +16,10 @@ impl Engine {
     /// Attribute the span since the CPU's cursor up to `to`, according to
     /// what is running there. Feeds the LBR/PMC window.
     pub(crate) fn account_progress(&mut self, cpu: usize, to: SimTime) {
+        // Only an idle CPU can have its timer suspended (see `tickless`).
+        if self.sched.cpus[cpu].current.is_none() {
+            self.catch_up_ticks(cpu);
+        }
         let cur = self.sched.cpus[cpu].accounted_until;
         if to <= cur {
             return;
@@ -63,23 +67,31 @@ impl Engine {
         self.sched.cpus[cpu].accounted_until = to;
     }
 
-    /// Fused accounting for an idle-quiet timer tick:
-    /// `account_progress(cpu, now)` on a CPU with no current task (the
-    /// elapsed span is pure idle time) followed by
-    /// `charge_kernel(cpu, charge)`, with a single cursor read-modify-
-    /// write. Callers must hold `!sched.is_active(cpu)`, which is
-    /// `current.is_none()` by construction — the idle branch of
-    /// `account_progress` is then the only reachable one, so this is
-    /// bit-identical to the two calls it replaces.
-    pub(crate) fn account_idle_tick(&mut self, cpu: usize, now: SimTime, charge: u64) {
+    /// Fused accounting for `n` idle-quiet timer ticks at `first`,
+    /// ..., `last`, evenly spaced: each is `account_progress(cpu, G)` on
+    /// a CPU with no current task (the elapsed span is pure idle time)
+    /// followed by `charge_kernel(cpu, charge)`, i.e. the cursor becomes
+    /// `max(cursor, G) + charge`. Unrolled over `G_1..G_n`, the final
+    /// cursor is the largest of `cursor + n*charge` and
+    /// `G_j + (n-j+1)*charge`; the latter is linear in `j`, so its
+    /// maximum sits at `j = 1` or `j = n`. Idle time is whatever of the
+    /// cursor's advance the charges do not cover. Callers must hold
+    /// `!sched.is_active(cpu)` for every tick.
+    pub(crate) fn account_idle_ticks(
+        &mut self,
+        cpu: usize,
+        first: SimTime,
+        last: SimTime,
+        n: u64,
+        charge: u64,
+    ) {
         let c = &mut self.sched.cpus[cpu];
-        let mut cur = c.accounted_until;
-        if now > cur {
-            c.time.idle_ns += now - cur;
-            cur = now;
-        }
-        c.time.kernel_ns += charge;
-        c.accounted_until = cur + charge;
+        let cur0 = c.accounted_until;
+        let kernel = n * charge;
+        let cur = (cur0 + kernel).max_of(first + kernel).max_of(last + charge);
+        c.time.idle_ns += (cur - cur0) - kernel;
+        c.time.kernel_ns += kernel;
+        c.accounted_until = cur;
     }
 
     /// Charge kernel time starting at the cursor.
@@ -144,6 +156,7 @@ impl Engine {
                     }
                     let switched = self.sched.cpus[cpu].last_ran != Some(tid);
                     let cost = self.sched.start(&mut self.tasks, CpuId(cpu), tid, t);
+                    self.resume_ticks(cpu);
                     self.stint_epoch[cpu] += 1;
                     self.charge_kernel(cpu, cost);
                     if switched {
@@ -340,8 +353,10 @@ impl Engine {
         if !self.mechs.is_empty() {
             self.mechs.on_elastic_change(cores);
         }
-        // Drain newly-offline CPUs.
+        // Drain newly-offline CPUs (their ticks are no-ops from now on, so
+        // suspended timers go back into the queue).
         for c in cores..ncpu {
+            self.resume_ticks(c);
             self.account_progress(c, self.now);
             if let Some(tid) = self.sched.cpus[c].current {
                 self.save_partial_progress(c, tid);

@@ -23,6 +23,7 @@
 //!   handlers.
 //! - `blocking`: futex/epoll wrappers and cross-CPU lock grants.
 //! - `report`: metric aggregation into a [`RunReport`].
+//! - `tickless`: suspended quiet mechanism ticks, charged in closed form.
 //! - `diag`: opt-in runqueue audits and stall dumps.
 //!
 //! Time accounting invariant: each CPU has a cursor
@@ -38,6 +39,7 @@ mod lockdep;
 mod race_hooks;
 mod report;
 mod spin;
+mod tickless;
 mod watchdog;
 
 use crate::config::RunConfig;
@@ -49,7 +51,7 @@ use oversub_hw::{CpuId, MemModel, NormalCodeRates};
 use oversub_ksync::{EpollTable, FutexTable};
 use oversub_locks::{LockDep, SyncRegistry};
 use oversub_metrics::{Diagnostic, RunReport};
-use oversub_simcore::{EventQueue, SimRng, SimTime, VClock};
+use oversub_simcore::{EventClass, EventKey, EventQueue, SimRng, SimTime, VClock};
 use oversub_task::{Action, EpollFd, FlagId, LockId, SemId, SpinSig, Task, TaskId, TaskTable};
 use oversub_workloads::workload::{Workload, WorldBuilder};
 
@@ -206,6 +208,10 @@ const MAX_EVENTS: u64 = 400_000_000;
 /// Default cap when a workload neither exits nor sets `max_time`.
 const DEFAULT_CAP: SimTime = SimTime(600 * oversub_simcore::SECS);
 
+/// Per-core stagger of mechanism timers: core `c`'s first tick is at
+/// `interval + (c * stride) % interval`, so cores do not all fire at once.
+const TIMER_PHASE_STRIDE_NS: u64 = 7_919;
+
 pub(crate) struct Engine {
     pub cfg: RunConfig,
     pub sched: oversub_sched::Scheduler,
@@ -246,14 +252,11 @@ pub(crate) struct Engine {
     /// periodic-tick hot path re-arms without a dyn dispatch (intervals
     /// are fixed for the life of a run).
     pub timer_intervals: Vec<Option<u64>>,
-    /// Per-mechanism constant idle-quiet charge
-    /// ([`Mechanism::idle_quiet_constant`](crate::mechanism::Mechanism::idle_quiet_constant)),
-    /// cached at construction: `Some(charge)` means an idle-quiet tick of
-    /// that mechanism needs no mechanism call at all.
-    idle_quiet_charge: Vec<Option<u64>>,
-    /// Idle-quiet ticks taken through the constant path, deferred per
-    /// mechanism and flushed into the mechanism's check counter before
-    /// counters are read (the increments commute, so deferral is exact).
+    /// Suspended quiet mechanism timers (see `tickless`).
+    tickless: tickless::Tickless,
+    /// Quiet ticks taken by the tickless path, deferred per mechanism and
+    /// flushed into the mechanism's check counter before counters are
+    /// read (the increments commute, so deferral is exact).
     pending_idle_checks: Vec<u64>,
     /// `OVERSUB_TRACE` progress logging (read once at construction; env
     /// lookups are too slow for the per-event hot loop).
@@ -418,9 +421,21 @@ impl Engine {
         let timer_intervals: Vec<Option<u64>> = (0..mechs.len())
             .map(|i| mechs.timer_interval_ns(i))
             .collect();
-        let idle_quiet_charge: Vec<Option<u64>> = (0..mechs.len())
+        // Tickless idle runs exactly where auto-cadence rotation does
+        // (see below), next to every other cadence the run arms.
+        let charges: Vec<Option<u64>> = (0..mechs.len())
             .map(|i| mechs.idle_quiet_constant(i))
             .collect();
+        let other_cadences: Vec<u64> = std::iter::once(cfg.sched.balance_interval_ns)
+            .chain(cfg.watchdog.map(|wd| wd.check_interval_ns))
+            .collect();
+        let tickless = tickless::Tickless::new(
+            !reference && faults.is_none() && cfg.schedule_salt == 0,
+            ncpu,
+            &mechs.timers(),
+            &charges,
+            &other_cadences,
+        );
         let pending_idle_checks = vec![0u64; mechs.len()];
         let mut eng = Engine {
             mechs,
@@ -436,7 +451,7 @@ impl Engine {
             resched_pending: vec![None; ncpu],
             reference,
             timer_intervals,
-            idle_quiet_charge,
+            tickless,
             pending_idle_checks,
             trace_progress: std::env::var_os("OVERSUB_TRACE").is_some(),
             check_rqs: std::env::var_os("OVERSUB_CHECK").is_some(),
@@ -486,8 +501,7 @@ impl Engine {
         for c in 0..ncpu {
             eng.sched_resched(SimTime::ZERO, c);
             for &(idx, interval_ns) in &timers {
-                // Stagger timers so cores do not all fire at once.
-                let phase = (c as u64 * 7_919) % interval_ns;
+                let phase = (c as u64 * TIMER_PHASE_STRIDE_NS) % interval_ns;
                 eng.queue.schedule_cadenced(
                     SimTime::from_nanos(interval_ns + phase),
                     interval_ns,
@@ -528,9 +542,10 @@ impl Engine {
         // cadenced re-arm is deterministic — `now + interval`, issued as
         // the handler's first schedule call after the pop — so the queue
         // performs it during the pop itself and the handlers skip their
-        // explicit re-arm when `last_pop_rotated()` reports it done.
-        // Fault runs keep the explicit path (jitter and drops perturb the
-        // re-arm point), as does the reference engine.
+        // explicit re-arm when `last_pop_rotated()` reports it done (or
+        // take it back when a quiet tick suspends its timer). Fault runs
+        // keep the explicit path (jitter and drops perturb the re-arm
+        // point), as does the reference engine.
         if !eng.reference && eng.faults.is_none() && eng.cfg.schedule_salt == 0 {
             eng.queue.set_auto_cadence(true);
         }
@@ -612,6 +627,15 @@ impl Engine {
             }
             self.now
         };
+        // Suspended ticks run up to where the per-tick loop would have
+        // stopped: everything ordered before the last event taken, and
+        // nothing at or past the cap.
+        let cap = EventKey {
+            time: self.end_cap,
+            sched_at: SimTime::ZERO,
+            class: EventClass::Cadenced,
+        };
+        self.finish_ticks(self.queue.current_key().min(cap));
         let mut pending = std::mem::take(&mut self.pending_idle_checks);
         self.mechs.flush_idle_checks(&mut pending);
         let trace = std::mem::take(&mut self.trace);

@@ -19,12 +19,19 @@ impl Engine {
         let Some(interval_ns) = self.timer_intervals[idx] else {
             return;
         };
+        // Tickless idle (see `tickless`): the second quiet tick in a row
+        // suspends its timer instead of re-arming it.
+        let quiet = self.quiet_tick(idx, cpu);
+        if quiet && self.suspends(cpu) {
+            self.suspend_tick(cpu);
+            return;
+        }
         // Re-arm first so detection handling cannot drop the timer. An
         // injected drop still re-arms (the interrupt is lost, not the
         // timer); injected jitter perturbs the re-arm point. Under
         // auto-cadence (fault-free optimized runs) the queue already
         // rotated this timer one interval ahead during the pop — the
-        // re-arm below would compute the identical `(time, seq)` key.
+        // re-arm below would compute the identical key.
         if !self.queue.last_pop_rotated() {
             let mut rearm_at = self.now + interval_ns;
             let mut dropped = false;
@@ -43,29 +50,26 @@ impl Engine {
         if !self.sched.online[cpu] {
             return;
         }
-        // Idle-quiet fast path: on an oversized machine most ticks land
-        // on cores with nothing running and an untouched monitoring
-        // window, where the full dispatch below reduces to "record one
-        // empty check, charge the check cost". Mechanisms opt into
-        // handling that case without a `TimerCtx`
-        // (`MechanismSet::dispatch_timer_batch`), so full dispatches
-        // scale with the scheduler's active-core bitset, not with
-        // machine size. Residual windows (a descheduled task's traces),
-        // armed faults, and the reference engine all take the full path.
+        if quiet {
+            self.take_quiet_tick(cpu);
+            return;
+        }
+        // Idle-quiet batch path for ticks tickless does not take (adaptive
+        // backoff advances per-tick state; salted runs keep every tick):
+        // mechanisms opt into handling an idle core with an untouched
+        // window without a `TimerCtx` (`MechanismSet::dispatch_timer_batch`),
+        // so full dispatches scale with the scheduler's active-core bitset,
+        // not with machine size. Residual windows (a descheduled task's
+        // traces), armed faults, and the reference engine all take the
+        // full path.
         if !self.reference
             && self.faults.is_none()
             && !self.sched.is_active(CpuId(cpu))
             && self.sched.cpus[cpu].hw.window_untouched()
         {
-            // Constant sub-case: the tick is a fixed charge plus one
-            // deferred check — no mechanism call at all.
-            if let Some(charge) = self.idle_quiet_charge[idx] {
-                self.pending_idle_checks[idx] += 1;
-                self.account_idle_tick(cpu, self.now, charge);
-                return;
-            }
             if let Some(charge) = self.mechs.dispatch_timer_batch(idx, cpu) {
-                self.account_idle_tick(cpu, self.now, charge);
+                self.catch_up_ticks(cpu);
+                self.account_idle_ticks(cpu, self.now, self.now, 1, charge);
                 return;
             }
         }

@@ -1,8 +1,24 @@
 //! The discrete-event queue driving the simulation.
 //!
-//! Events are `(time, payload)` pairs. Ties on time are broken by insertion
-//! order (a monotonically increasing sequence number), which keeps the
-//! simulation fully deterministic without requiring payloads to be `Ord`.
+//! Events are `(time, payload)` pairs ordered by the key
+//! `(time, sched_at, class, seq)`:
+//!
+//! - `sched_at` is the time of the pop during which the event was
+//!   scheduled (zero for events scheduled before the first pop);
+//! - `class` puts cadenced events ([`EventQueue::schedule_cadenced`])
+//!   before one-shot events ([`EventQueue::schedule`]);
+//! - `seq` is insertion order (a monotonically increasing sequence
+//!   number).
+//!
+//! Sequence numbers are handed out in pop order and pop times never
+//! decrease, so `sched_at` is monotone in `seq`: the key orders exactly as
+//! plain `(time, seq)` except when a cadenced and a one-shot event share
+//! both `time` and `sched_at`. What the extra fields buy is a key that does
+//! not depend on pop history: a periodic timer's next tick at `G` has the
+//! key `(G, G - interval, cadenced, ·)` however many other events popped
+//! in between, which is what lets a caller suspend a quiet timer and later
+//! put it back ([`EventQueue::resume_cadenced`]) exactly where it would
+//! have been.
 //!
 //! Two implementations live behind [`EventQueue`]:
 //!
@@ -15,8 +31,8 @@
 //! - The **classic** queue ([`EventQueue::classic`]): a plain
 //!   `BinaryHeap`, kept as the measurement baseline and as the reference
 //!   model for the golden determinism test. Both implementations draw
-//!   sequence numbers the same way, so they pop the exact same
-//!   `(time, seq)` order for the same call sequence.
+//!   sequence numbers and stamp keys the same way, so they pop the exact
+//!   same order for the same call sequence.
 //!
 //! The engine retires stale events by epoch checks when they pop, so a
 //! scheduled event always stays queued until it pops, and
@@ -26,23 +42,58 @@ use crate::time::SimTime;
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, VecDeque};
 
+/// Tie class of an event: among events sharing `time` and `sched_at`,
+/// cadenced ones pop first.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+pub enum EventClass {
+    /// Scheduled through [`EventQueue::schedule_cadenced`] or
+    /// [`EventQueue::resume_cadenced`] (periodic timers).
+    Cadenced,
+    /// Scheduled through [`EventQueue::schedule`].
+    OneShot,
+}
+
+/// An event's ordering key without the final insertion-order tie-break:
+/// compare two keys with the derived lexicographic order.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+pub struct EventKey {
+    /// When the event fires.
+    pub time: SimTime,
+    /// The time of the pop during which the event was scheduled.
+    pub sched_at: SimTime,
+    /// Cadenced before one-shot.
+    pub class: EventClass,
+}
+
+impl EventKey {
+    /// The key a periodic timer's tick at `time` has when the previous
+    /// tick, one `interval_ns` earlier, re-armed it.
+    pub fn cadenced_tick(time: SimTime, interval_ns: u64) -> Self {
+        EventKey {
+            time,
+            sched_at: SimTime::from_nanos(time.as_nanos().saturating_sub(interval_ns)),
+            class: EventClass::Cadenced,
+        }
+    }
+}
+
 /// Tie-break key for a sequence number under a permutation salt.
 ///
 /// Salt `0` is the identity: ties break in insertion order, the pinned
 /// production behavior. A non-zero salt feeds `seq ^ salt` through the
 /// SplitMix64 finalizer — a *bijection* on `u64`, so distinct sequence
 /// numbers keep distinct keys (no collisions, still a total order) while
-/// equal-time events pop in a salt-dependent pseudorandom permutation of
+/// equal-key events pop in a salt-dependent pseudorandom permutation of
 /// their insertion order.
 ///
 /// The permutation is scoped to a *burst*: the schedule calls made while
-/// one popped event is being processed (see `HeapEntry::ord`). Equal-time
-/// events from the same burst — a handler fanning out over a woken list,
-/// a CPU scan, a spinner set — permute; equal-time events from different
-/// bursts keep burst (causal) order. That targets exactly the
+/// one popped event is being processed (see `HeapEntry::burst`).
+/// Equal-key events from the same burst — a handler fanning out over a
+/// woken list, a CPU scan, a spinner set — permute; equal-key events from
+/// different bursts keep burst (causal) order. That targets exactly the
 /// insertion-order coincidences a handler's iteration order produces,
-/// which must be outcome-irrelevant, while cross-handler equal-time order
-/// remains the simulation's pinned deterministic scheduling choice. The
+/// which must be outcome-irrelevant, while cross-handler order remains the
+/// simulation's pinned deterministic scheduling choice. The
 /// schedule-robustness certifier runs the same config under several salts
 /// and asserts the reports are byte-identical.
 fn mix_ord(seq: u64, salt: u64) -> u64 {
@@ -55,20 +106,58 @@ fn mix_ord(seq: u64, salt: u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// The full order of a queued event as four plain integers (derived
+/// lexicographic order): `time`, `sched_at`, `tie = class << 63 | burst`
+/// and `ord`, where `burst` is the pop count at insert and `ord` is
+/// `mix_ord(seq, salt)`. Unsalted, `(burst, ord)` orders exactly as raw
+/// `seq` (bursts are monotone in insertion order), so salt `0` is plain
+/// insertion order among equal keys.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+struct Rank {
+    time: u64,
+    sched_at: u64,
+    tie: u64,
+    ord: u64,
+}
+
+/// Bursts are pop counts; 63 bits leave the top bit of `tie` to the class.
+const BURST_MASK: u64 = u64::MAX >> 1;
+
+impl Rank {
+    fn new(key: EventKey, burst: u64, ord: u64) -> Self {
+        Rank {
+            time: key.time.as_nanos(),
+            sched_at: key.sched_at.as_nanos(),
+            tie: ((key.class as u64) << 63) | (burst & BURST_MASK),
+            ord,
+        }
+    }
+
+    fn time(&self) -> SimTime {
+        SimTime::from_nanos(self.time)
+    }
+
+    fn key(&self) -> EventKey {
+        EventKey {
+            time: self.time(),
+            sched_at: SimTime::from_nanos(self.sched_at),
+            class: if self.tie >> 63 == 0 {
+                EventClass::Cadenced
+            } else {
+                EventClass::OneShot
+            },
+        }
+    }
+}
+
 struct HeapEntry<E> {
-    time: SimTime,
-    seq: u64,
-    /// Tie-break key: `(burst at insert, mix_ord(seq, salt))`. Unsalted
-    /// this is `(burst, seq)`, lexicographically the same order as raw
-    /// `seq` (bursts are monotone in insertion order), so salt `0` is
-    /// bit-for-bit the pinned behavior.
-    ord: (u64, u64),
+    rank: Rank,
     payload: E,
 }
 
 impl<E> PartialEq for HeapEntry<E> {
     fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.ord == other.ord
+        self.rank == other.rank
     }
 }
 impl<E> Eq for HeapEntry<E> {}
@@ -79,27 +168,26 @@ impl<E> PartialOrd for HeapEntry<E> {
 }
 impl<E> Ord for HeapEntry<E> {
     fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; invert so the earliest (time, ord)
-        // pops first.
-        other
-            .time
-            .cmp(&self.time)
-            .then_with(|| other.ord.cmp(&self.ord))
+        // BinaryHeap is a max-heap; invert so the smallest rank pops first.
+        other.rank.cmp(&self.rank)
     }
 }
 
-/// A heap of one-shot events, ordered by `(time, ord)`, that hands out
-/// the shared sequence numbers and burst stamps. Both queue flavors are
-/// built on it; the classic queue is exactly this.
+/// A heap of events, ordered by [`Rank`], that hands out the shared
+/// sequence numbers, burst stamps and `sched_at` stamps. Both queue
+/// flavors are built on it; the classic queue is exactly this.
 struct Heap<E> {
     heap: BinaryHeap<HeapEntry<E>>,
     next_seq: u64,
     /// Tie-break permutation salt (see [`mix_ord`]).
     salt: u64,
-    /// Burst counter: incremented on every pop, stamped into each entry's
-    /// tie-break key at insert. Scopes the salt permutation to the events
-    /// one handler execution scheduled (see [`mix_ord`]).
+    /// Burst counter: incremented on every pop, stamped into each entry at
+    /// insert. Scopes the salt permutation to the events one handler
+    /// execution scheduled (see [`mix_ord`]).
     burst: u64,
+    /// Rank of the most recent pop; its time is the `sched_at` stamp of
+    /// everything scheduled until the next pop.
+    current: Rank,
 }
 
 impl<E> Heap<E> {
@@ -109,6 +197,12 @@ impl<E> Heap<E> {
             next_seq: 0,
             salt: 0,
             burst: 0,
+            current: Rank {
+                time: 0,
+                sched_at: 0,
+                tie: 0,
+                ord: 0,
+            },
         }
     }
 
@@ -118,44 +212,55 @@ impl<E> Heap<E> {
         seq
     }
 
-    fn push(&mut self, time: SimTime, seq: u64, payload: E) {
-        self.heap.push(HeapEntry {
-            time,
-            seq,
-            ord: (self.burst, mix_ord(seq, self.salt)),
-            payload,
-        });
+    /// The key of an event scheduled now for `at`.
+    fn key_now(&self, at: SimTime, class: EventClass) -> EventKey {
+        EventKey {
+            time: at,
+            sched_at: self.current.time(),
+            class,
+        }
     }
 
-    fn schedule(&mut self, at: SimTime, payload: E) {
+    /// The rank of the event being scheduled under `key` with `seq`.
+    fn rank(&self, key: EventKey, seq: u64) -> Rank {
+        Rank::new(key, self.burst, mix_ord(seq, self.salt))
+    }
+
+    fn push(&mut self, rank: Rank, payload: E) {
+        self.heap.push(HeapEntry { rank, payload });
+    }
+
+    fn schedule(&mut self, key: EventKey, payload: E) {
         let seq = self.next_seq();
-        self.push(at, seq, payload);
+        self.push(self.rank(key, seq), payload);
     }
 
-    /// `(time, seq)` of the earliest entry.
-    fn peek_key(&self) -> Option<(SimTime, u64)> {
-        self.heap.peek().map(|e| (e.time, e.seq))
+    /// Rank of the earliest entry.
+    fn peek_rank(&self) -> Option<&Rank> {
+        self.heap.peek().map(|e| &e.rank)
     }
 
     fn pop(&mut self) -> Option<(SimTime, E)> {
-        self.heap.pop().map(|e| (e.time, e.payload))
+        self.burst += 1;
+        let e = self.heap.pop()?;
+        self.current = e.rank;
+        Some((e.rank.time(), e.payload))
     }
 }
 
 struct LaneEntry<E> {
-    time: SimTime,
-    seq: u64,
+    rank: Rank,
     payload: E,
 }
 
 /// FIFO lane for one strictly-periodic cadence (see
 /// [`EventQueue::schedule_cadenced`]). Re-arms of a fixed-interval timer
 /// arrive in fire order, and every re-arm lands one interval after its
-/// fire time, so within a single cadence the pushed `(time, seq)` keys
-/// are monotone non-decreasing: the deque *is* sorted, insert is
+/// fire time, so within a single cadence the pushed ranks are monotone
+/// non-decreasing: the deque *is* sorted, insert is
 /// `push_back`, and the earliest entry is `front`. Pushes that would
-/// break monotonicity (the staggered initial arms, fault-injected timer
-/// jitter) are rejected by the caller and routed through the heap
+/// break monotonicity (the staggered initial arms, resumed timers,
+/// fault-injected timer jitter) are rejected and routed through the heap
 /// instead, so the invariant is checked, never assumed.
 struct Lane<E> {
     interval_ns: u64,
@@ -165,11 +270,11 @@ struct Lane<E> {
 impl<E> Lane<E> {
     /// Append if the key keeps the lane sorted; otherwise hand the payload
     /// back for the heap.
-    fn try_push(&mut self, time: SimTime, seq: u64, payload: E) -> Result<(), E> {
-        if self.q.back().is_some_and(|e| (e.time, e.seq) > (time, seq)) {
+    fn try_push(&mut self, rank: Rank, payload: E) -> Result<(), E> {
+        if self.q.back().is_some_and(|e| e.rank > rank) {
             return Err(payload);
         }
-        self.q.push_back(LaneEntry { time, seq, payload });
+        self.q.push_back(LaneEntry { rank, payload });
         Ok(())
     }
 }
@@ -189,18 +294,18 @@ struct FastQueue<E> {
     /// Rotate cadenced pops in place (see
     /// [`EventQueue::set_auto_cadence`]).
     auto_cadence: bool,
-    /// Whether the most recent `pop` rotated its event (auto re-arm).
-    /// Reset by every pop and every schedule call.
-    last_pop_rotated: bool,
+    /// The lane the most recent `pop` rotated its event back into (auto
+    /// re-arm), if it did. Reset by every pop and every schedule call.
+    rotated: Option<usize>,
     /// Hot-lane pop cache: the lane that won the last pop, paired with
-    /// the minimum `(time, seq)` over every *other* source (heap and
+    /// the minimum rank over every *other* source (heap and
     /// remaining lanes) at that moment. While subsequent pushes land only
     /// on the hot lane — the steady state of a tick-dominated run, where
     /// each tick's re-arm goes straight back to its own lane — the
     /// other-source minimum cannot drop, so the next pop decides with a
     /// single key compare instead of a full source scan. Any push to
     /// another source clears it.
-    hot: Option<(usize, Option<(SimTime, u64)>)>,
+    hot: Option<(usize, Option<Rank>)>,
 }
 
 impl<E> FastQueue<E> {
@@ -210,36 +315,38 @@ impl<E> FastQueue<E> {
             lanes: Vec::new(),
             live: 0,
             auto_cadence: false,
-            last_pop_rotated: false,
+            rotated: None,
             hot: None,
         }
     }
 
     fn schedule(&mut self, at: SimTime, payload: E) {
         self.hot = None;
-        self.last_pop_rotated = false;
-        self.heap.schedule(at, payload);
+        self.rotated = None;
+        let key = self.heap.key_now(at, EventClass::OneShot);
+        self.heap.schedule(key, payload);
         self.live += 1;
     }
 
-    /// [`schedule`](Self::schedule) with a declared cadence:
-    /// monotone re-arms append to the cadence's FIFO lane in O(1);
-    /// anything else (initial staggered arms, jittered re-arms, cadence
-    /// overflow) goes to the heap. Ordering is identical either way —
-    /// lanes share the global sequence counter and pops compare
-    /// `(time, seq)` across all sources.
+    /// Schedule a cadenced event under `key`: monotone re-arms append to
+    /// the cadence's FIFO lane in O(1); anything else (initial staggered
+    /// arms, resumed or jittered re-arms, cadence overflow) goes to the
+    /// heap. Ordering is identical either way — lanes share the global
+    /// sequence counter and pops compare ranks across all sources.
     ///
     /// Salted queues send everything to the heap: the lanes' FIFO
     /// monotonicity argument is stated over raw insertion sequence
     /// numbers, so bypassing them keeps the salted order trivially total
     /// at a perf cost only the certifier pays.
-    fn schedule_cadenced(&mut self, at: SimTime, interval_ns: u64, payload: E) {
-        if self.heap.salt != 0 {
-            return self.schedule(at, payload);
-        }
-        let seq = self.heap.next_seq();
-        self.last_pop_rotated = false;
+    fn push_cadenced(&mut self, key: EventKey, interval_ns: u64, payload: E) {
+        self.rotated = None;
         self.live += 1;
+        let seq = self.heap.next_seq();
+        let rank = self.heap.rank(key, seq);
+        if self.heap.salt != 0 {
+            self.hot = None;
+            return self.heap.push(rank, payload);
+        }
         let lane_idx = match self.lanes.iter().position(|l| l.interval_ns == interval_ns) {
             Some(i) => i,
             None if self.lanes.len() < MAX_LANES => {
@@ -251,7 +358,7 @@ impl<E> FastQueue<E> {
             }
             None => {
                 self.hot = None;
-                return self.heap.push(at, seq, payload);
+                return self.heap.push(rank, payload);
             }
         };
         // A monotone push to the hot lane cannot lower any other source's
@@ -260,9 +367,9 @@ impl<E> FastQueue<E> {
         if self.hot.is_some_and(|(h, _)| h != lane_idx) {
             self.hot = None;
         }
-        if let Err(payload) = self.lanes[lane_idx].try_push(at, seq, payload) {
+        if let Err(payload) = self.lanes[lane_idx].try_push(rank, payload) {
             self.hot = None;
-            self.heap.push(at, seq, payload);
+            self.heap.push(rank, payload);
         }
     }
 
@@ -270,50 +377,45 @@ impl<E> FastQueue<E> {
     where
         E: Clone,
     {
-        // A pop starts a new burst: everything scheduled while the popped
-        // event is processed shares the next burst stamp (see `mix_ord`).
-        self.heap.burst += 1;
+        self.rotated = None;
         // Hot path: the lane that won the last pop wins again while its
         // front stays below the cached minimum of every other source.
         if let Some((h, om)) = self.hot {
             if let Some(e) = self.lanes[h].q.front() {
-                if om.is_none_or(|m| (e.time, e.seq) < m) {
+                if om.is_none_or(|m| e.rank < m) {
                     return self.pop_lane(h);
                 }
             }
             self.hot = None;
         }
-        self.last_pop_rotated = false;
-        let hk = self.heap.peek_key();
-        // Best lane and the runner-up minimum over the *other* lanes
-        // (needed to seed the hot cache when a lane wins).
-        let mut lk: Option<(usize, (SimTime, u64))> = None;
-        let mut lane_rest: Option<(SimTime, u64)> = None;
+        // Unsalted whenever a lane holds anything, so `ord` is the raw
+        // sequence number and ranks compare across sources. Find the
+        // winning source (`None` = the heap) and the minimum over every
+        // other source, which seeds the hot cache when a lane wins.
+        let mut best: Option<(Option<usize>, &Rank)> = self.heap.peek_rank().map(|r| (None, r));
+        let mut rest: Option<&Rank> = None;
         for (i, l) in self.lanes.iter().enumerate() {
-            if let Some(e) = l.q.front() {
-                let k = (e.time, e.seq);
-                match lk {
-                    Some((_, bk)) if k >= bk => {
-                        if lane_rest.is_none_or(|r| k < r) {
-                            lane_rest = Some(k);
-                        }
+            let Some(e) = l.q.front() else { continue };
+            match best {
+                Some((_, b)) if e.rank >= *b => {
+                    if rest.is_none_or(|r| e.rank < *r) {
+                        rest = Some(&e.rank);
                     }
-                    _ => {
-                        if let Some((_, bk)) = lk {
-                            lane_rest = Some(lane_rest.map_or(bk, |r| r.min(bk)));
-                        }
-                        lk = Some((i, k));
+                }
+                _ => {
+                    if let Some((_, b)) = best {
+                        rest = Some(rest.map_or(b, |r| r.min(b)));
                     }
+                    best = Some((Some(i), &e.rank));
                 }
             }
         }
-        match lk {
-            Some((i, l)) if hk.is_none_or(|h| l < h) => {
-                let om = [hk, lane_rest].into_iter().flatten().min();
-                self.hot = Some((i, om));
+        match best? {
+            (Some(i), _) => {
+                self.hot = Some((i, rest.copied()));
                 self.pop_lane(i)
             }
-            _ => {
+            (None, _) => {
                 let popped = self.heap.pop()?;
                 self.live -= 1;
                 Some(popped)
@@ -329,27 +431,46 @@ impl<E> FastQueue<E> {
     where
         E: Clone,
     {
+        self.heap.burst += 1;
         let Some(e) = self.lanes[i].q.pop_front() else {
             debug_assert!(false, "pop_lane on empty lane");
             return None;
         };
+        self.heap.current = e.rank;
+        let time = e.rank.time();
         if self.auto_cadence {
-            let seq = self.heap.next_seq();
-            let at = e.time + self.lanes[i].interval_ns;
-            // The fallback cannot happen for a shared strict cadence (the
-            // popped front plus one interval is at or past every pending
-            // entry), but stay safe rather than assume it.
-            if let Err(p) = self.lanes[i].try_push(at, seq, e.payload.clone()) {
-                self.hot = None;
-                self.heap.push(at, seq, p);
+            // The popped front plus one interval is at or past every
+            // pending entry of a shared strict cadence, so the push
+            // cannot fail; were it ever to, the event is simply not
+            // rotated and the handler re-arms it explicitly with the
+            // identical key.
+            let key = self
+                .heap
+                .key_now(time + self.lanes[i].interval_ns, EventClass::Cadenced);
+            let rank = self.heap.rank(key, self.heap.next_seq);
+            if self.lanes[i].try_push(rank, e.payload.clone()).is_ok() {
+                self.heap.next_seq += 1;
+                // live is unchanged: one event left, its re-arm arrived.
+                self.rotated = Some(i);
+                return Some((time, e.payload));
             }
-            // live is unchanged: one event left, its re-arm arrived.
-            self.last_pop_rotated = true;
-        } else {
-            self.live -= 1;
-            self.last_pop_rotated = false;
         }
-        Some((e.time, e.payload))
+        self.live -= 1;
+        Some((time, e.payload))
+    }
+
+    /// Take back the re-arm the most recent pop's rotation made.
+    fn undo_rotation(&mut self) -> bool {
+        let Some(i) = self.rotated.take() else {
+            return false;
+        };
+        // Nothing was scheduled since the pop (that would have cleared
+        // `rotated`), so the rotated entry is still the lane's back.
+        // Removing an entry cannot lower any other source's minimum: the
+        // hot-lane cache stays valid.
+        self.lanes[i].q.pop_back();
+        self.live -= 1;
+        true
     }
 }
 
@@ -394,9 +515,16 @@ impl<E> EventQueue<E> {
         matches!(self.imp, Imp::Classic(_))
     }
 
-    /// Set the equal-time tie-break permutation salt (see `mix_ord`).
+    fn heap(&self) -> &Heap<E> {
+        match &self.imp {
+            Imp::Fast(q) => &q.heap,
+            Imp::Classic(h) => h,
+        }
+    }
+
+    /// Set the equal-key tie-break permutation salt (see `mix_ord`).
     /// `0` (the default) is pinned insertion order; non-zero values pop
-    /// equal-time events in a salt-dependent deterministic permutation —
+    /// equal-key events in a salt-dependent deterministic permutation —
     /// the schedule-robustness certifier's knob. Must be called on an
     /// empty queue: entries already pushed keep their old keys, which
     /// would make the heap order inconsistent.
@@ -408,41 +536,61 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Schedule `payload` at absolute time `at`.
+    /// Schedule one-shot `payload` at absolute time `at`.
     pub fn schedule(&mut self, at: SimTime, payload: E) {
         match &mut self.imp {
             Imp::Fast(q) => q.schedule(at, payload),
-            Imp::Classic(h) => h.schedule(at, payload),
+            Imp::Classic(h) => h.schedule(h.key_now(at, EventClass::OneShot), payload),
         }
     }
 
-    /// [`schedule`](Self::schedule) with the event's cadence declared. On
-    /// the fast queue, re-arms of a fixed-interval timer fire in time
-    /// order and each lands one interval later, so per cadence the
-    /// scheduled `(time, seq)` keys are monotone: they append to a FIFO
-    /// lane with O(1) insert and O(1) pop, bypassing the heap entirely.
-    /// Non-monotone pushes (staggered initial arms, jittered re-arms) and
-    /// cadences past the lane cap silently fall back to the heap, and the
-    /// classic queue treats this as a plain `schedule` — the popped
-    /// `(time, seq)` order is identical in every case.
+    /// [`schedule`](Self::schedule) a periodic timer's re-arm, with its
+    /// cadence declared. The event gets the cadenced tie class. On the
+    /// fast queue, re-arms of a fixed-interval timer fire in time order
+    /// and each lands one interval later, so per cadence the scheduled
+    /// keys are monotone: they append to a FIFO lane with O(1) insert and
+    /// O(1) pop, bypassing the heap entirely. Non-monotone pushes
+    /// (staggered initial arms, jittered re-arms) and cadences past the
+    /// lane cap silently fall back to the heap, and the classic queue
+    /// always uses its heap — the popped order is identical in every
+    /// case.
     pub fn schedule_cadenced(&mut self, at: SimTime, interval_ns: u64, payload: E) {
         match &mut self.imp {
-            Imp::Fast(q) => q.schedule_cadenced(at, interval_ns, payload),
-            Imp::Classic(h) => h.schedule(at, payload),
+            Imp::Fast(q) => {
+                let key = q.heap.key_now(at, EventClass::Cadenced);
+                q.push_cadenced(key, interval_ns, payload)
+            }
+            Imp::Classic(h) => h.schedule(h.key_now(at, EventClass::Cadenced), payload),
         }
     }
 
-    /// Monotone counter advanced on every `schedule`/`schedule_cadenced`
-    /// call (it is the queue's internal tie-break sequence). Two reads
-    /// returning the same value prove that *no event of any kind* was
-    /// scheduled in between, which callers use to detect that two entries
-    /// are adjacent among same-time events (see the engine's resched
-    /// coalescing).
-    pub fn seq_mark(&self) -> u64 {
-        match &self.imp {
-            Imp::Fast(q) => q.heap.next_seq,
-            Imp::Classic(h) => h.next_seq,
+    /// Put a suspended periodic timer back: schedule its tick at `at`
+    /// under the key it would have had had it kept ticking, i.e. as if
+    /// the previous tick at `at - interval_ns` had re-armed it
+    /// ([`EventKey::cadenced_tick`]). Only the final insertion-order
+    /// tie-break differs, which matters only against another cadenced
+    /// event with the same time and the same `sched_at`.
+    pub fn resume_cadenced(&mut self, at: SimTime, interval_ns: u64, payload: E) {
+        let key = EventKey::cadenced_tick(at, interval_ns);
+        match &mut self.imp {
+            Imp::Fast(q) => q.push_cadenced(key, interval_ns, payload),
+            Imp::Classic(h) => h.schedule(key, payload),
         }
+    }
+
+    /// Monotone counter advanced on every schedule call (it is the queue's
+    /// internal tie-break sequence). Two reads returning the same value
+    /// prove that *no event of any kind* was scheduled in between, which
+    /// callers use to detect that two entries are adjacent among same-key
+    /// events (see the engine's resched coalescing).
+    pub fn seq_mark(&self) -> u64 {
+        self.heap().next_seq
+    }
+
+    /// The key of the most recently popped event (the event being
+    /// processed). Before the first pop: time zero, cadenced.
+    pub fn current_key(&self) -> EventKey {
+        self.heap().current.key()
     }
 
     /// Pop the next event.
@@ -456,10 +604,7 @@ impl<E> EventQueue<E> {
     {
         match &mut self.imp {
             Imp::Fast(q) => q.pop(),
-            Imp::Classic(h) => {
-                h.burst += 1;
-                h.pop()
-            }
+            Imp::Classic(h) => h.pop(),
         }
     }
 
@@ -472,12 +617,13 @@ impl<E> EventQueue<E> {
     /// [`last_pop_rotated`](Self::last_pop_rotated). This is sound only
     /// under the engine's re-arm-first contract: the handler's own re-arm
     /// would be the *first* schedule call after the pop, at exactly
-    /// `time + interval`, so the rotation allocates the identical
-    /// `(time, seq)` key the handler would have — the handler must then
-    /// *skip* its explicit re-arm when `last_pop_rotated()` reports the
-    /// queue already did it. Events that fall outside the lanes (initial
-    /// staggered arms, jittered re-arms) pop with the flag false and keep
-    /// the explicit path.
+    /// `time + interval`, so the rotation allocates the identical key the
+    /// handler would have — the handler must then *skip* its explicit
+    /// re-arm when `last_pop_rotated()` reports the queue already did it,
+    /// or take the re-arm back with [`undo_rotation`](Self::undo_rotation).
+    /// Events that fall outside the lanes (initial staggered arms,
+    /// jittered re-arms) pop with the flag false and keep the explicit
+    /// path.
     pub fn set_auto_cadence(&mut self, on: bool) {
         if let Imp::Fast(q) = &mut self.imp {
             q.auto_cadence = on;
@@ -490,7 +636,18 @@ impl<E> EventQueue<E> {
     /// on the classic queue.
     pub fn last_pop_rotated(&self) -> bool {
         match &self.imp {
-            Imp::Fast(q) => q.last_pop_rotated,
+            Imp::Fast(q) => q.rotated.is_some(),
+            Imp::Classic(_) => false,
+        }
+    }
+
+    /// Remove the re-arm that the most recent pop's auto-cadence rotation
+    /// made, for a caller that suspends the timer instead. Must be called
+    /// before anything else is scheduled; returns whether there was a
+    /// rotation to take back.
+    pub fn undo_rotation(&mut self) -> bool {
+        match &mut self.imp {
+            Imp::Fast(q) => q.undo_rotation(),
             Imp::Classic(_) => false,
         }
     }
@@ -548,7 +705,9 @@ mod tests {
     }
 
     /// Cadenced (lane) and one-shot (heap) events interleave in exact
-    /// global `(time, seq)` order, including ties.
+    /// global `(time, sched_at, class, seq)` order, including ties: at a
+    /// shared `time` and `sched_at` the cadenced event goes first, and
+    /// otherwise ties keep insertion order.
     #[test]
     fn periodic_and_irregular_share_total_order() {
         let mut q = EventQueue::new();
@@ -558,7 +717,48 @@ mod tests {
         q.schedule(t, 3);
         q.schedule_cadenced(SimTime::from_nanos(50), 50, 0);
         let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, p)| p).collect();
-        assert_eq!(order, vec![0, 1, 2, 3]);
+        assert_eq!(order, vec![0, 2, 1, 3]);
+
+        // Scheduled during different pops, the same events keep
+        // insertion order whatever their class.
+        let mut q = EventQueue::new();
+        q.schedule(SimTime::from_nanos(10), 9);
+        q.schedule(t, 1);
+        assert_eq!(q.pop().unwrap().1, 9);
+        q.schedule_cadenced(t, 90, 2);
+        let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, p)| p).collect();
+        assert_eq!(order, vec![1, 2]);
+    }
+
+    /// A resumed timer takes the key of the tick it replaces, wherever
+    /// the clock has got to, and an undone rotation leaves no trace.
+    #[test]
+    fn resumed_ticks_and_undone_rotations() {
+        let mut q = EventQueue::new();
+        q.set_auto_cadence(true);
+        q.schedule_cadenced(SimTime::from_nanos(100), 100, 0);
+        q.schedule(SimTime::from_nanos(150), 1);
+        assert_eq!(q.pop(), Some((SimTime::from_nanos(100), 0)));
+        assert!(q.last_pop_rotated());
+        assert!(q.undo_rotation());
+        assert!(!q.undo_rotation(), "one rotation to take back");
+        assert_eq!(q.len(), 1);
+        assert_eq!(q.pop(), Some((SimTime::from_nanos(150), 1)));
+        // Stop rotating so the queue drains.
+        q.set_auto_cadence(false);
+        // At 150, one-shot 2 is scheduled for 300 (sched_at 150); the
+        // timer resumes at 300 as if re-armed at 200, so it pops after.
+        // A tick resumed at 250 counts as re-armed at 150 and beats the
+        // one-shot 3 scheduled at 150 for 250 on class.
+        q.schedule(SimTime::from_nanos(300), 2);
+        q.schedule(SimTime::from_nanos(250), 3);
+        q.resume_cadenced(SimTime::from_nanos(300), 100, 10);
+        q.resume_cadenced(SimTime::from_nanos(250), 100, 11);
+        let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, p)| p).collect();
+        assert_eq!(order, vec![11, 3, 2, 10]);
+        let k = EventKey::cadenced_tick(SimTime::from_nanos(300), 100);
+        assert_eq!(q.current_key(), k);
+        assert_eq!(k.sched_at, SimTime::from_nanos(200));
     }
 
     /// A non-zero salt permutes equal-time pops but keeps time order,

@@ -15,7 +15,7 @@ pub mod rng;
 pub mod time;
 pub mod vclock;
 
-pub use events::EventQueue;
+pub use events::{EventClass, EventKey, EventQueue};
 pub use pool::{JobPanic, PoolStats};
 pub use resource::{Grant, KernelLock, KernelLockParams};
 pub use rng::SimRng;

@@ -1,15 +1,18 @@
 //! Property tests of the event queue against a naive sorted-Vec model.
 //!
-//! The model keeps every scheduled entry as `(time, seq, payload, popped)`
-//! and pops the minimum `(time, seq)` among pending entries. Both queue
-//! flavors — the optimized heap + cadence-lane queue and the classic
-//! plain-heap reference — must match it exactly: pop order and the live
-//! event count. Payloads are unique, so payload equality on every pop pins
-//! the *exact* global ordering, including FIFO among same-timestamp
-//! events scheduled through different paths (one-shot heap, cadence lane,
-//! lane-rejected heap fallback).
+//! The model keeps every scheduled entry as `(time, sched_at, class,
+//! payload, popped)` in insertion (= seq) order and pops the minimum
+//! `(time, sched_at, class, seq)` among pending entries, where `sched_at`
+//! is the time of the last pop when the entry was scheduled and the
+//! cadenced class sorts before the one-shot class. Both queue flavors —
+//! the optimized heap + cadence-lane queue and the classic plain-heap
+//! reference — must match it exactly: pop order and the live event count.
+//! Payloads are unique, so payload equality on every pop pins the *exact*
+//! global ordering, including ties among events scheduled through
+//! different paths (one-shot heap, cadence lane, lane-rejected heap
+//! fallback, resumed timers).
 
-use oversub_simcore::{EventQueue, SimTime};
+use oversub_simcore::{EventClass, EventKey, EventQueue, SimTime};
 use proptest::prelude::*;
 
 #[derive(Clone, Copy, Debug)]
@@ -20,6 +23,9 @@ enum Op {
     /// index selects from [`CADENCES`] so several pushes share a lane and
     /// non-monotone pushes exercise the fallback.
     ScheduleCadenced(u64, usize),
+    /// A suspended timer put back at `now + delta` under the key of a
+    /// tick re-armed one interval earlier.
+    Resume(u64, usize),
     Pop,
 }
 
@@ -31,73 +37,140 @@ const CADENCES: [u64; 11] = [
     123_456,
 ];
 
-fn arb_ops() -> impl Strategy<Value = Vec<Op>> {
+fn arb_ops(max_delta: u64) -> impl Strategy<Value = Vec<Op>> {
     proptest::collection::vec(
         prop_oneof![
-            (0u64..100_000_000).prop_map(Op::Schedule),
-            ((0u64..100_000_000), (0usize..CADENCES.len()))
+            (0u64..max_delta).prop_map(Op::Schedule),
+            ((0u64..max_delta), (0usize..CADENCES.len()))
                 .prop_map(|(d, i)| Op::ScheduleCadenced(d, i)),
+            ((0u64..max_delta), (0usize..CADENCES.len())).prop_map(|(d, i)| Op::Resume(d, i)),
             Just(Op::Pop),
         ],
         1..200,
     )
 }
 
+/// Like [`arb_ops`] without `Resume`: the schedules the old queue knew.
+fn arb_plain_ops(max_delta: u64) -> impl Strategy<Value = Vec<Op>> {
+    proptest::collection::vec(
+        prop_oneof![
+            (0u64..max_delta).prop_map(Op::Schedule),
+            ((0u64..max_delta), (0usize..CADENCES.len()))
+                .prop_map(|(d, i)| Op::ScheduleCadenced(d, i)),
+            Just(Op::Pop),
+        ],
+        1..120,
+    )
+}
+
+struct Entry {
+    key: EventKey,
+    payload: u64,
+    popped: bool,
+}
+
+#[derive(Default)]
 struct Model {
-    /// One entry per schedule call, in seq (= insertion) order:
-    /// `(time, payload, popped)`.
-    entries: Vec<(u64, u64, bool)>,
+    /// One entry per schedule call, in seq (= insertion) order.
+    entries: Vec<Entry>,
+    now: u64,
 }
 
 impl Model {
-    fn schedule(&mut self, at: u64, payload: u64) {
-        self.entries.push((at, payload, false));
+    fn push(&mut self, key: EventKey, payload: u64) {
+        self.entries.push(Entry {
+            key,
+            payload,
+            popped: false,
+        });
     }
 
-    /// Minimum (time, seq) pending entry; seq order is entry order.
-    fn pop(&mut self) -> Option<(u64, u64)> {
+    fn key_now(&self, at: u64, class: EventClass) -> EventKey {
+        EventKey {
+            time: SimTime::from_nanos(at),
+            sched_at: SimTime::from_nanos(self.now),
+            class,
+        }
+    }
+
+    /// Pop the pending entry with the minimum `order(key, seq)`.
+    fn pop_by<K: Ord>(&mut self, order: impl Fn(&EventKey, usize) -> K) -> Option<(u64, u64)> {
         let best = self
             .entries
             .iter()
             .enumerate()
-            .filter(|(_, e)| !e.2)
-            .min_by_key(|(seq, e)| (e.0, *seq))
+            .filter(|(_, e)| !e.popped)
+            .min_by_key(|(seq, e)| order(&e.key, *seq))
             .map(|(seq, _)| seq)?;
-        self.entries[best].2 = true;
-        Some((self.entries[best].0, self.entries[best].1))
+        let e = &mut self.entries[best];
+        e.popped = true;
+        self.now = e.key.time.as_nanos();
+        Some((self.now, e.payload))
+    }
+
+    fn pop(&mut self) -> Option<(u64, u64)> {
+        self.pop_by(|k, seq| (*k, seq))
+    }
+
+    /// The order before the tie key existed: `(time, seq)`.
+    fn pop_old(&mut self) -> Option<(u64, u64)> {
+        self.pop_by(|k, seq| (k.time, seq))
     }
 
     fn live(&self) -> usize {
-        self.entries.iter().filter(|e| !e.2).count()
+        self.entries.iter().filter(|e| !e.popped).count()
+    }
+
+    /// True when a cadenced and a one-shot entry share `time` and
+    /// `sched_at` — the one case where the two orders differ.
+    fn has_class_tie(&self) -> bool {
+        self.entries.iter().any(|a| {
+            a.key.class == EventClass::Cadenced
+                && self.entries.iter().any(|b| {
+                    b.key.class == EventClass::OneShot
+                        && (b.key.time, b.key.sched_at) == (a.key.time, a.key.sched_at)
+                })
+        })
+    }
+
+    /// Record one schedule op, keyed as the queue keys it.
+    fn schedule(&mut self, op: Op, payload: u64) {
+        let key = match op {
+            Op::Schedule(d) => self.key_now(self.now + d, EventClass::OneShot),
+            Op::ScheduleCadenced(d, _) => self.key_now(self.now + d, EventClass::Cadenced),
+            Op::Resume(d, i) => {
+                EventKey::cadenced_tick(SimTime::from_nanos(self.now + d), CADENCES[i])
+            }
+            Op::Pop => unreachable!("not a schedule op"),
+        };
+        self.push(key, payload);
     }
 }
 
+/// Apply one schedule op to both the queue and the model.
+fn schedule(q: &mut EventQueue<u64>, model: &mut Model, op: Op, payload: u64) {
+    let at = |d| SimTime::from_nanos(model.now + d);
+    match op {
+        Op::Schedule(d) => q.schedule(at(d), payload),
+        Op::ScheduleCadenced(d, i) => q.schedule_cadenced(at(d), CADENCES[i], payload),
+        Op::Resume(d, i) => q.resume_cadenced(at(d), CADENCES[i], payload),
+        Op::Pop => unreachable!("not a schedule op"),
+    }
+    model.schedule(op, payload);
+}
+
 fn check_against_model(mut q: EventQueue<u64>, ops: Vec<Op>) {
-    let mut model = Model {
-        entries: Vec::new(),
-    };
-    let mut next_payload = 0u64;
-    let mut now = 0u64; // last popped time: schedules are now-relative
-    for op in ops {
-        match op {
-            Op::Schedule(d) => {
-                q.schedule(SimTime::from_nanos(now + d), next_payload);
-                model.schedule(now + d, next_payload);
-                next_payload += 1;
+    let mut model = Model::default();
+    for (payload, op) in ops.into_iter().enumerate() {
+        if let Op::Pop = op {
+            let got = q.pop().map(|(t, p)| (t.as_nanos(), p));
+            let want = model.pop();
+            prop_assert_eq!(got, want, "pop order diverged");
+            if got.is_some() {
+                prop_assert_eq!(q.current_key().time.as_nanos(), model.now);
             }
-            Op::ScheduleCadenced(d, i) => {
-                q.schedule_cadenced(SimTime::from_nanos(now + d), CADENCES[i], next_payload);
-                model.schedule(now + d, next_payload);
-                next_payload += 1;
-            }
-            Op::Pop => {
-                let got = q.pop().map(|(t, p)| (t.as_nanos(), p));
-                let want = model.pop();
-                prop_assert_eq!(got, want, "pop order diverged");
-                if let Some((t, _)) = got {
-                    now = t;
-                }
-            }
+        } else {
+            schedule(&mut q, &mut model, op, payload as u64);
         }
         prop_assert_eq!(q.len(), model.live(), "live count diverged");
         prop_assert_eq!(q.is_empty(), model.live() == 0);
@@ -113,20 +186,62 @@ fn check_against_model(mut q: EventQueue<u64>, ops: Vec<Op>) {
     }
 }
 
+/// Without a cadenced/one-shot pair sharing `(time, sched_at)`, the
+/// queue pops exactly the old `(time, seq)` order. Returns whether the
+/// schedule was free of such pairs (the property is vacuous otherwise).
+fn check_old_order(mut q: EventQueue<u64>, ops: &[Op]) -> bool {
+    let mut model = Model::default();
+    let mut got = Vec::new();
+    let mut old = Model::default();
+    let mut want = Vec::new();
+    let drain = std::iter::repeat_n(Op::Pop, ops.len());
+    for (payload, op) in ops.iter().copied().chain(drain).enumerate() {
+        if let Op::Pop = op {
+            got.extend(q.pop().map(|(t, p)| (t.as_nanos(), p)));
+            model.pop();
+            want.extend(old.pop_old());
+        } else {
+            schedule(&mut q, &mut model, op, payload as u64);
+            old.schedule(op, payload as u64);
+        }
+    }
+    if model.has_class_tie() {
+        return false;
+    }
+    prop_assert_eq!(got, want, "tie-free schedule left the (time, seq) order");
+    true
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
     /// The optimized heap + cadence-lane queue matches the naive model.
     #[test]
-    fn fast_queue_matches_model(ops in arb_ops()) {
+    fn fast_queue_matches_model(ops in arb_ops(100_000_000)) {
         check_against_model(EventQueue::new(), ops);
     }
 
     /// The classic reference queue matches the same model, so both queue
     /// flavors are interchangeable event-for-event.
     #[test]
-    fn classic_queue_matches_model(ops in arb_ops()) {
+    fn classic_queue_matches_model(ops in arb_ops(100_000_000)) {
         check_against_model(EventQueue::classic(), ops);
+    }
+
+    /// Dense timestamps: nearly every pop is a tie on `time`, and many on
+    /// `sched_at` too, so the class and seq tie-breaks decide.
+    #[test]
+    fn both_flavors_match_model_on_dense_ties(ops in arb_ops(3)) {
+        check_against_model(EventQueue::new(), ops.clone());
+        check_against_model(EventQueue::classic(), ops);
+    }
+
+    /// The tie key changes nothing unless a cadenced and a one-shot event
+    /// share both `time` and `sched_at`.
+    #[test]
+    fn tie_free_schedules_keep_the_old_order(ops in arb_plain_ops(40)) {
+        check_old_order(EventQueue::new(), &ops);
+        check_old_order(EventQueue::classic(), &ops);
     }
 
     /// Auto-cadence rotation is invisible: a fast queue that re-arms
@@ -134,7 +249,9 @@ proptest! {
     /// rotation-aware caller) pops the identical `(time, payload)` stream
     /// as a classic queue whose caller re-arms explicitly — the engine's
     /// re-arm-first contract, under which the rotation allocates exactly
-    /// the sequence number the explicit re-arm would have.
+    /// the sequence number the explicit re-arm would have. A caller that
+    /// suspends a timer instead takes the rotation back
+    /// (`undo_rotation`), and the stream still matches.
     #[test]
     fn auto_cadence_rotation_matches_explicit_rearm(
         // (timer id, initial stagger) pairs; ids pick one of CADENCES.
@@ -143,6 +260,8 @@ proptest! {
         // Interleaved one-shot noise deltas.
         noise in proptest::collection::vec(0u64..300_000, 0..16),
         pops in 32usize..256,
+        // Pop counts after which a popped timer is suspended for good.
+        suspend_after in proptest::collection::vec(0usize..256, 0..4),
     ) {
         let mut fast = EventQueue::new();
         let mut classic = EventQueue::classic();
@@ -160,14 +279,19 @@ proptest! {
             fast.schedule(SimTime::from_nanos(d), p);
             classic.schedule(SimTime::from_nanos(d), p);
         }
-        for _ in 0..pops {
+        for n in 0..pops {
             let got = fast.pop();
             let want = classic.pop();
             prop_assert_eq!(got, want, "pop streams diverged");
+            prop_assert_eq!(fast.current_key(), classic.current_key());
             let Some((t, p)) = got else { break };
             // Engine contract: a popped cadenced timer re-arms first,
             // unless the queue reports it already rotated it.
             if let Some(&(i, _)) = timers.get(p as usize) {
+                if suspend_after.contains(&n) {
+                    fast.undo_rotation();
+                    continue;
+                }
                 let at = t + CADENCES[i];
                 if !fast.last_pop_rotated() {
                     fast.schedule_cadenced(at, CADENCES[i], p);
@@ -178,6 +302,7 @@ proptest! {
                 // One-shot noise must never be reported as rotated.
                 prop_assert!(!fast.last_pop_rotated());
             }
+            prop_assert_eq!(fast.len(), classic.len());
         }
     }
 }

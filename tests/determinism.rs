@@ -1,18 +1,20 @@
 //! Golden determinism test for the engine hot-path overhaul.
 //!
 //! The optimized engine (heap + cadence-lane event queue, cached runqueue
-//! picks, resched coalescing) must produce **bit-identical metrics** to
-//! the reference engine (classic plain-heap queue, uncached scans, no
-//! coalescing) on every workload class the tier-1 suite covers.
+//! picks, resched coalescing, tickless idle) must produce **bit-identical
+//! metrics** to the reference engine (classic plain-heap queue, uncached
+//! scans, no coalescing, every tick popped) on every workload class the
+//! tier-1 suite covers.
 //! Reports are compared through their canonical JSON serialization, which
 //! is integer-exact, so equality here means every counter, histogram
 //! bucket, and timing field matches to the last bit.
 
+use oversub::hw::CpuId;
 use oversub::ksync::WaitMode;
 use oversub::metrics::MechCounters;
 use oversub::simcore::SimTime;
-use oversub::task::{SpinSig, TaskId};
-use oversub::workload::Workload;
+use oversub::task::{Action, FnProgram, SpinSig, TaskId};
+use oversub::workload::{ThreadSpec, Workload, WorldBuilder};
 use oversub::workloads::memcached::Memcached;
 use oversub::workloads::pipeline::{SpinPipeline, WaitFlavor};
 use oversub::workloads::skeletons::{BenchProfile, Skeleton};
@@ -27,7 +29,11 @@ use std::sync::{Arc, Mutex};
 
 /// Run one workload twice — optimized vs reference engine — and assert
 /// byte-identical report JSON. Returns the two event counts.
-fn assert_golden(mut mk: impl FnMut() -> Box<dyn Workload>, cfg: &RunConfig, label: &str) {
+fn assert_golden(
+    mut mk: impl FnMut() -> Box<dyn Workload>,
+    cfg: &RunConfig,
+    label: &str,
+) -> (u64, u64) {
     let optimized = {
         let mut wl = mk();
         run_counted(&mut *wl, &cfg.clone().with_reference_engine(false), label)
@@ -41,13 +47,22 @@ fn assert_golden(mut mk: impl FnMut() -> Box<dyn Workload>, cfg: &RunConfig, lab
         reference.0.to_json(),
         "{label}: optimized engine diverged from reference"
     );
-    // Coalescing may only ever *remove* events, never add.
+    // BWD's check count is the tick count, elided ticks included.
+    let checks = |r: &oversub::RunReport| r.mech("bwd").map(|m| m.timer_checks);
+    assert_eq!(
+        checks(&optimized.0),
+        checks(&reference.0),
+        "{label}: BWD timer checks diverged"
+    );
+    // Coalescing and tickless idle may only ever *remove* events, never
+    // add.
     assert!(
         optimized.1 <= reference.1,
         "{label}: optimized engine processed more events ({} > {})",
         optimized.1,
         reference.1
     );
+    (optimized.1, reference.1)
 }
 
 #[test]
@@ -142,6 +157,209 @@ fn web_serving_with_elasticity_is_bit_identical() {
         &cfg,
         "web/24T/8c",
     );
+}
+
+// ---------------------------------------------------------------------
+// Tickless idle: elided ticks are charged exactly
+// ---------------------------------------------------------------------
+
+/// BWD's tick interval; CPU 0's phase is 0, so its ticks fall on every
+/// multiple of it.
+const TICK_NS: u64 = 100_000;
+
+/// Threads started on CPU 0 that alternate a short compute burst with an
+/// I/O wait sized so that the completion lands *exactly* on one of CPU 0's
+/// tick grid points, usually while CPU 0 sits idle with its timer
+/// suspended. Whether the wake sorts before or after the elided tick
+/// depends on when the wait was submitted relative to the previous grid
+/// point, and the varied burst lengths cover both sides.
+struct GridIo {
+    threads: usize,
+    rounds: usize,
+    syscall_ns: u64,
+}
+
+impl Workload for GridIo {
+    fn name(&self) -> &str {
+        "grid-io"
+    }
+
+    fn build(&mut self, world: &mut WorldBuilder) {
+        for i in 0..self.threads {
+            let (rounds, syscall_ns) = (self.rounds, self.syscall_ns);
+            let mut step = 0usize;
+            let program = FnProgram::new("grid-io", move |ctx| {
+                step += 1;
+                if step > 2 * rounds {
+                    return Action::Exit;
+                }
+                if step % 2 == 1 {
+                    // 3-43 µs bursts, varied per thread and round.
+                    let us = 3 + ((step * 7 + i * 13) % 41) as u64;
+                    return Action::Compute { ns: us * 1_000 };
+                }
+                // Complete on a grid point 0-5 ticks past the first one at
+                // least 5 µs away, leaving CPU 0 quiet in between (its
+                // timer is suspended from the second quiet tick on).
+                let submit = ctx.now.as_nanos() + syscall_ns;
+                let skip = ((step / 2 + i) % 6) as u64 * TICK_NS;
+                let grid = (submit + 5_000).div_ceil(TICK_NS) * TICK_NS + skip;
+                Action::IoWait { ns: grid - submit }
+            });
+            let mut spec = ThreadSpec::new(Box::new(program));
+            spec.initial_cpu = Some(CpuId(0));
+            world.spawn(spec);
+        }
+    }
+}
+
+/// Threads that start on one `home` CPU and compute in long bursts, so
+/// every other CPU — CPU 0 in particular — idles with its timer
+/// suspended until the scheduler moves a task there.
+struct HomeCompute {
+    threads: usize,
+    home: usize,
+}
+
+impl Workload for HomeCompute {
+    fn name(&self) -> &str {
+        "home-compute"
+    }
+
+    fn build(&mut self, world: &mut WorldBuilder) {
+        for _ in 0..self.threads {
+            let mut left = 8;
+            let program = FnProgram::new("home-compute", move |_| {
+                left -= 1;
+                if left == 0 {
+                    Action::Exit
+                } else {
+                    Action::Compute { ns: 700_000 }
+                }
+            });
+            let mut spec = ThreadSpec::new(Box::new(program));
+            spec.initial_cpu = Some(CpuId(self.home));
+            world.spawn(spec);
+        }
+    }
+}
+
+fn grid_io(threads: usize, rounds: usize) -> Box<dyn Workload> {
+    Box::new(GridIo {
+        threads,
+        rounds,
+        syscall_ns: RunConfig::vanilla(1).sched.syscall_entry_ns,
+    })
+}
+
+#[test]
+fn io_completions_on_an_idle_cpus_tick_grid_are_bit_identical() {
+    for (cores, threads) in [(1, 1), (4, 1), (4, 3), (16, 2)] {
+        let cfg = RunConfig::vanilla(cores)
+            .with_machine(MachineSpec::PaperN(cores))
+            .with_mech(Mechanisms::optimized())
+            .with_seed(3);
+        let label = format!("grid-io/{threads}T/{cores}c");
+        let (optimized, reference) = assert_golden(|| grid_io(threads, 40), &cfg, &label);
+        assert!(
+            optimized < reference,
+            "{label}: no tick was elided ({optimized} events)"
+        );
+    }
+}
+
+#[test]
+fn elastic_changes_on_the_tick_grid_are_bit_identical() {
+    // Shrink and regrow at exact multiples of the tick interval, so the
+    // change ties on time with CPU 0's (suspended) tick; CPUs going
+    // offline must resume their timers, CPUs staying online keep them
+    // suspended across the change.
+    let profile = BenchProfile::by_name("streamcluster").expect("known benchmark");
+    for (cores, grid) in [(8usize, [15u64, 40, 41]), (32, [5, 6, 90])] {
+        let mut cfg = RunConfig::vanilla(cores)
+            .with_machine(MachineSpec::PaperN(cores))
+            .with_mech(Mechanisms::optimized())
+            .with_seed(9)
+            .with_max_time(SimTime::from_millis(12));
+        cfg.elastic = vec![
+            ElasticEvent {
+                at: SimTime::from_nanos(grid[0] * TICK_NS),
+                cores: 2,
+            },
+            ElasticEvent {
+                at: SimTime::from_nanos(grid[1] * TICK_NS),
+                cores: cores / 2,
+            },
+            ElasticEvent {
+                at: SimTime::from_nanos(grid[2] * TICK_NS),
+                cores,
+            },
+        ];
+        let label = format!("elastic-grid/{cores}c");
+        let (optimized, reference) = assert_golden(
+            || Box::new(Skeleton::scaled(profile, 4, 0.05).with_salt(9)),
+            &cfg,
+            &label,
+        );
+        assert!(optimized < reference, "{label}: no tick was elided");
+        // The same changes with I/O completions on the grid as well.
+        assert_golden(|| grid_io(2, 30), &cfg, &format!("{label}/grid-io"));
+        // Tasks stranded on the last CPU: the shrink moves them to CPU 0
+        // while its timer is suspended, and the resched it schedules at the
+        // change's time sorts after CPU 0's tick there (scheduled later
+        // than the tick's `sched_at`), so that quiet tick must be charged
+        // before the task starts.
+        let home = move || {
+            Box::new(HomeCompute {
+                threads: 3,
+                home: cores - 1,
+            }) as Box<dyn Workload>
+        };
+        assert_golden(home, &cfg, &format!("{label}/home-compute"));
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Tickless idle against the per-tick reference engine on random
+    /// configurations: machine size, thread count, mechanism preset,
+    /// elastic changes (some on the tick grid) and seed.
+    #[test]
+    fn tickless_matches_the_reference_engine(
+        cores in 1usize..129,
+        threads in 1usize..24,
+        preset in 0usize..3,
+        elastic in proptest::collection::vec(((1u64..120), (1usize..129), any::<bool>()), 0..3),
+        grid_workload in any::<bool>(),
+        seed in any::<u64>(),
+    ) {
+        let mech = [Mechanisms::vanilla(), Mechanisms::bwd_only(), Mechanisms::optimized()][preset];
+        let mut cfg = RunConfig::vanilla(cores)
+            .with_machine(MachineSpec::PaperN(cores))
+            .with_mech(mech)
+            .with_seed(seed)
+            .with_max_time(SimTime::from_millis(15));
+        // Elastic times in 100 µs steps, optionally nudged off the grid.
+        cfg.elastic = elastic
+            .iter()
+            .map(|&(step, n, on_grid)| ElasticEvent {
+                at: SimTime::from_nanos(step * TICK_NS + if on_grid { 0 } else { 3_701 }),
+                cores: n.min(cores),
+            })
+            .collect();
+        let label = format!("tickless/{cores}c/{threads}T/preset{preset}/seed{seed}");
+        if grid_workload {
+            assert_golden(|| grid_io(threads.min(6), 20), &cfg, &label);
+        } else {
+            let profile = BenchProfile::by_name("streamcluster").expect("known benchmark");
+            assert_golden(
+                || Box::new(Skeleton::scaled(profile, threads, 0.02).with_salt(seed % 1_000)),
+                &cfg,
+                &label,
+            );
+        }
+    }
 }
 
 /// An active out-of-tree mechanism for the golden tests: throttle any
