@@ -1,14 +1,16 @@
 //! Simulator throughput benchmark: wall-clock and processed events of the
-//! optimized engine (heap + cadence-lane queue, cached picks, resched
-//! coalescing, tickless idle) versus the reference engine (classic
-//! plain-heap queue, uncached scans, no coalescing, every tick popped) on
+//! optimized engine (heap + cadence-lane + timer-slot queue, cached
+//! picks, resched coalescing, tickless idle) versus the reference engine
+//! (classic plain-heap queue, uncached scans, no coalescing, every tick
+//! and every superseded timer popped) on
 //! representative workloads. Both engines produce bit-identical *report
 //! metrics* — see `tests/determinism.rs`; this binary re-asserts the
 //! per-mechanism counters match on every arm — so this measures pure
 //! host-side speed. The engines' internal processed-event counts
 //! legitimately differ (resched coalescing retires duplicate wakeup
-//! events before dispatch, and tickless idle takes quiet ticks out of the
-//! queue altogether), so events/sec no longer measures speed: it is
+//! events before dispatch, re-armed timer slots drop superseded slice and
+//! segment timers, and tickless idle takes quiet ticks out of the queue
+//! altogether), so events/sec no longer measures speed: it is
 //! reported for information only, and the speed gates read the
 //! wall-clock ratio.
 //!
@@ -305,7 +307,8 @@ fn main() {
         // re-assert their bit-identity on every arm (the full-report
         // check lives in tests/determinism.rs). Processed-event counts
         // are the one engine-internal quantity allowed to differ, and
-        // only downward: coalescing retires events, never adds them.
+        // only downward: coalescing, timer slots and tickless idle retire
+        // events, never add them.
         let ref_json = JsonValue::Array(ref_mechs).to_string_compact();
         let fast_json = JsonValue::Array(mechs.clone()).to_string_compact();
         if ref_json != fast_json {
@@ -318,8 +321,8 @@ fn main() {
         if fast_events > ref_events {
             eprintln!(
                 "{}: optimized engine processed MORE events than reference \
-                 ({fast_events} > {ref_events}) — coalescing and tickless idle \
-                 can only remove events",
+                 ({fast_events} > {ref_events}) — coalescing, timer slots and \
+                 tickless idle can only remove events",
                 arm.name
             );
             std::process::exit(1);
@@ -427,7 +430,8 @@ fn main() {
                 "best-of-reps wall time; speedups in milli-units (1300 = 1.3x); \
              report metrics are bit-identical across engines (tests/determinism.rs, \
              re-asserted per arm here) while processed-event counts differ \
-             (resched coalescing and tickless idle, optimized <= reference), so \
+             (resched coalescing, timer slots and tickless idle, optimized <= \
+             reference), so \
              events/sec is informational; phase_breakdown is one instrumented \
              untimed run per engine; gates: optimized_events <= \
              optimized_events_ceiling (exact), wall_clock_speedup_milli_current \

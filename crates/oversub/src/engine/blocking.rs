@@ -1,7 +1,7 @@
 //! Kernel blocking wrappers (futex wait/wake with mechanism hooks) and
 //! the cross-CPU lock grant / flag release paths.
 
-use super::{Cont, Engine, Event, Resume, SegEventKind};
+use super::{Cont, Engine, Event, Resume};
 use crate::trace::TraceKind;
 use oversub_hw::CpuId;
 use oversub_ksync::{WaitMode, Woken};
@@ -41,9 +41,7 @@ impl Engine {
                 *s = Some(t);
             }
         }
-        self.stint_epoch[cpu] += 1;
-        self.seg_epoch[cpu] += 1;
-        self.spin_exit_at[cpu] = None;
+        self.end_stint(cpu);
         self.sched_resched(t + out.cost_ns, cpu);
     }
 
@@ -152,9 +150,7 @@ impl Engine {
         debug_assert_eq!(self.sched.cpus[wcpu].current, Some(w));
         let t2 = t.max_of(self.sched.cpus[wcpu].accounted_until);
         self.account_progress(wcpu, t2);
-        self.seg_epoch[wcpu] += 1;
-        self.spin_exit_at[wcpu] = None;
-        self.seg_event[wcpu] = SegEventKind::None;
+        self.end_segment(wcpu);
         let claimed = if is_mutex {
             self.sync.mutexes[lock.0].try_claim(w)
         } else {
@@ -203,9 +199,7 @@ impl Engine {
         if let Some((wcpu, w)) = waiter {
             let t2 = t.max_of(self.sched.cpus[wcpu].accounted_until);
             self.account_progress(wcpu, t2);
-            self.seg_epoch[wcpu] += 1;
-            self.spin_exit_at[wcpu] = None;
-            self.seg_event[wcpu] = SegEventKind::None;
+            self.end_segment(wcpu);
             // The lock was just released with no designated heir, so a
             // running spinner must win the barge; on a state-machine
             // disagreement, record it and let the spinner keep spinning.
@@ -233,9 +227,7 @@ impl Engine {
                 let t2 = t.max_of(self.sched.cpus[wcpu].accounted_until);
                 self.account_progress(wcpu, t2);
                 self.conts[w.0] = Cont::Ready;
-                self.seg_epoch[wcpu] += 1;
-                self.spin_exit_at[wcpu] = None;
-                self.seg_event[wcpu] = SegEventKind::None;
+                self.end_segment(wcpu);
                 self.advance_task(wcpu, t2);
             }
             _ => {

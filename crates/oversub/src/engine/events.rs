@@ -2,7 +2,7 @@
 //! segment completion, slice expiry, wakeup preemption, load balancing,
 //! I/O completion, and CPU elasticity.
 
-use super::{Cont, Engine, Event, RunKind, SegEventKind};
+use super::{Cont, Engine, Event, RunKind, SegEventKind, Timer};
 use crate::trace::TraceKind;
 use oversub_hw::CpuId;
 use oversub_simcore::SimTime;
@@ -169,8 +169,7 @@ impl Engine {
                     // Arm the stint's slice timer (chaos runs may add an
                     // injected expiry delay).
                     let slice = self.sched.slice_for(CpuId(cpu)) + self.slice_fault_delay();
-                    self.queue
-                        .schedule(start_t + slice, Event::Slice(cpu, self.stint_epoch[cpu]));
+                    self.arm_timer(cpu, Timer::Slice, start_t + slice);
                     self.sched.cpus[cpu].time.context_switches += 1;
                     self.advance_task(cpu, start_t);
                     return;
@@ -200,6 +199,7 @@ impl Engine {
 
     pub(crate) fn on_seg_end(&mut self, cpu: usize, epoch: u64) {
         if epoch != self.seg_epoch[cpu] {
+            debug_assert!(self.queue.is_classic(), "superseded segment end popped");
             return;
         }
         let Some(tid) = self.sched.cpus[cpu].current else {
@@ -223,6 +223,7 @@ impl Engine {
 
     pub(crate) fn on_slice(&mut self, cpu: usize, epoch: u64) {
         if epoch != self.stint_epoch[cpu] {
+            debug_assert!(self.queue.is_classic(), "superseded slice timer popped");
             return;
         }
         let Some(tid) = self.sched.cpus[cpu].current else {
@@ -232,8 +233,7 @@ impl Engine {
         if self.sched.cpus[cpu].rq.nr_schedulable() == 0 {
             // Nobody else: extend the stint.
             let slice = self.sched.slice_for(CpuId(cpu)) + self.slice_fault_delay();
-            self.queue
-                .schedule(self.now + slice, Event::Slice(cpu, epoch));
+            self.arm_timer(cpu, Timer::Slice, self.now + slice);
             return;
         }
         // Preempt: save remaining work, requeue, pick next.
@@ -248,9 +248,7 @@ impl Engine {
             self.now,
             oversub_sched::StopReason::Preempted,
         );
-        self.stint_epoch[cpu] += 1;
-        self.seg_epoch[cpu] += 1;
-        self.spin_exit_at[cpu] = None;
+        self.end_stint(cpu);
         self.sched_resched(self.now, cpu);
     }
 
@@ -291,9 +289,7 @@ impl Engine {
             self.now,
             oversub_sched::StopReason::Preempted,
         );
-        self.stint_epoch[cpu] += 1;
-        self.seg_epoch[cpu] += 1;
-        self.spin_exit_at[cpu] = None;
+        self.end_stint(cpu);
         self.sched_resched(self.now, cpu);
     }
 
@@ -366,9 +362,7 @@ impl Engine {
                     self.now,
                     oversub_sched::StopReason::Preempted,
                 );
-                self.stint_epoch[c] += 1;
-                self.seg_epoch[c] += 1;
-                self.spin_exit_at[c] = None;
+                self.end_stint(c);
             }
             // Move every queued, unpinned task to an online CPU.
             let queued: Vec<TaskId> = self.sched.cpus[c]

@@ -139,11 +139,14 @@ pub(crate) enum Event {
     /// Try to schedule work on an idle CPU.
     Resched(usize),
     /// The current segment's scheduled end (work done or park deadline).
+    /// A [`Timer`], tagged with the segment epoch it was armed in.
     SegEnd(usize, u64),
-    /// Slice expiry for the current stint.
+    /// Slice expiry for the current stint. A [`Timer`], tagged with the
+    /// stint epoch it was armed in.
     Slice(usize, u64),
     /// A mechanism-armed spin exit for the current spin segment (PLE's
-    /// pause-loop exit; any mechanism may arm one).
+    /// pause-loop exit; any mechanism may arm one). A [`Timer`], tagged
+    /// with the segment epoch it was armed in.
     SpinExit(usize, u64),
     /// Re-evaluate wakeup preemption on this CPU.
     PreemptCheck(usize),
@@ -162,6 +165,30 @@ pub(crate) enum Event {
     Watchdog,
     /// Hard stop (max_time).
     Stop,
+}
+
+/// A CPU's one-shot timers, the engine's counterpart of the kernel's
+/// per-runqueue hrtick: at most one of each kind is pending per CPU. Each
+/// lives in its own event-queue slot ([`EventQueue::schedule_slot`]), so
+/// arming one replaces the CPU's pending timer of that kind, and ending a
+/// stint or segment clears them: the optimized engine never pops a
+/// superseded timer. The reference engine's classic queue keeps every
+/// arm, and the handlers retire superseded ones by their epoch tag.
+#[derive(Clone, Copy)]
+pub(crate) enum Timer {
+    /// [`Event::Slice`].
+    Slice,
+    /// [`Event::SegEnd`].
+    SegEnd,
+    /// [`Event::SpinExit`].
+    SpinExit,
+}
+
+impl Timer {
+    /// The queue slot of this timer on `cpu`.
+    fn slot(self, cpu: usize) -> usize {
+        cpu * 3 + self as usize
+    }
 }
 
 /// Host-side time attribution of one run, split by simulation phase.
@@ -225,9 +252,11 @@ pub(crate) struct Engine {
     pub conts: Vec<Cont>,
     pub rngs: Vec<SimRng>,
     pub queue: EventQueue<Event>,
-    /// Per-CPU epoch for stint-level events (Slice).
+    /// Per-CPU epoch for stint-level timers (Slice); bumped by
+    /// `end_stint`.
     pub stint_epoch: Vec<u64>,
-    /// Per-CPU epoch for segment-level events (SegEnd/SpinExit).
+    /// Per-CPU epoch for segment-level timers (SegEnd/SpinExit); bumped by
+    /// `end_segment` and `shift_segment`.
     pub seg_epoch: Vec<u64>,
     /// Per-CPU current segment kind (valid while running).
     pub run_kind: Vec<RunKind>,
@@ -728,7 +757,8 @@ pub fn run_labelled(workload: &mut dyn Workload, config: &RunConfig, label: &str
 /// events-per-second throughput benchmark. The count is *not* part of
 /// [`RunReport`]: it is an engine-internal quantity that legitimately
 /// differs between the optimized and reference engines (resched
-/// coalescing), while every report metric stays bit-identical.
+/// coalescing, superseded timers, tickless idle), while every report
+/// metric stays bit-identical.
 pub fn run_counted(
     workload: &mut dyn Workload,
     config: &RunConfig,

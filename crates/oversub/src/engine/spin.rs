@@ -2,7 +2,7 @@
 //! periodic monitoring timer ([`Engine::on_mech_timer`], BWD's home) and
 //! the armed spin exit ([`Engine::on_spin_exit`], PLE's home).
 
-use super::{Cont, Engine, Event, RunKind, SegEventKind};
+use super::{Cont, Engine, Event, RunKind, SegEventKind, Timer};
 use crate::mechanism::TimerCtx;
 use crate::trace::TraceKind;
 use oversub_hw::CpuId;
@@ -112,9 +112,7 @@ impl Engine {
             t,
             oversub_sched::StopReason::Preempted,
         );
-        self.stint_epoch[cpu] += 1;
-        self.seg_epoch[cpu] += 1;
-        self.spin_exit_at[cpu] = None;
+        self.end_stint(cpu);
         self.sched_resched(t, cpu);
     }
 
@@ -126,6 +124,7 @@ impl Engine {
     /// exits get rarer. This is why PLE barely helps.
     pub(crate) fn on_spin_exit(&mut self, cpu: usize, epoch: u64) {
         if epoch != self.seg_epoch[cpu] {
+            debug_assert!(self.queue.is_classic(), "superseded spin exit popped");
             return;
         }
         let Some(tid) = self.sched.cpus[cpu].current else {
@@ -152,15 +151,42 @@ impl Engine {
             t,
             oversub_sched::StopReason::Preempted,
         );
-        self.stint_epoch[cpu] += 1;
-        self.seg_epoch[cpu] += 1;
-        self.spin_exit_at[cpu] = None;
+        self.end_stint(cpu);
         self.sched_resched(t, cpu);
     }
 
     // ---------------------------------------------------------------
     // Segment helpers
     // ---------------------------------------------------------------
+
+    /// Arm `cpu`'s `timer` for `at`, replacing its pending one, tagged
+    /// with the current stint or segment epoch.
+    pub(crate) fn arm_timer(&mut self, cpu: usize, timer: Timer, at: SimTime) {
+        let ev = match timer {
+            Timer::Slice => Event::Slice(cpu, self.stint_epoch[cpu]),
+            Timer::SegEnd => Event::SegEnd(cpu, self.seg_epoch[cpu]),
+            Timer::SpinExit => Event::SpinExit(cpu, self.seg_epoch[cpu]),
+        };
+        self.queue.schedule_slot(timer.slot(cpu), at, ev);
+    }
+
+    /// `cpu`'s task left it (stopped, blocked, yielded, exited): retire
+    /// the stint's slice timer and the current segment.
+    pub(crate) fn end_stint(&mut self, cpu: usize) {
+        self.stint_epoch[cpu] += 1;
+        self.queue.clear_slot(Timer::Slice.slot(cpu));
+        self.end_segment(cpu);
+    }
+
+    /// `cpu`'s current segment is over: retire its end and spin-exit
+    /// timers. The next segment, if any, arms its own.
+    pub(crate) fn end_segment(&mut self, cpu: usize) {
+        self.seg_epoch[cpu] += 1;
+        self.seg_event[cpu] = SegEventKind::None;
+        self.spin_exit_at[cpu] = None;
+        self.queue.clear_slot(Timer::SegEnd.slot(cpu));
+        self.queue.clear_slot(Timer::SpinExit.slot(cpu));
+    }
 
     /// Record how much of the current segment's work remains, updating the
     /// task's continuation. Call after `account_progress` and before
@@ -202,19 +228,17 @@ impl Engine {
             return;
         }
         self.seg_epoch[cpu] += 1;
-        let e = self.seg_epoch[cpu];
         self.seg_done_at[cpu] += delta;
         match self.seg_event[cpu] {
             SegEventKind::WorkEnd | SegEventKind::ParkDeadline => {
-                self.queue
-                    .schedule(self.seg_done_at[cpu], Event::SegEnd(cpu, e));
+                self.arm_timer(cpu, Timer::SegEnd, self.seg_done_at[cpu]);
             }
             SegEventKind::None => {}
         }
         if let Some((p, idx)) = self.spin_exit_at[cpu] {
             let np = p + delta;
             self.spin_exit_at[cpu] = Some((np, idx));
-            self.queue.schedule(np, Event::SpinExit(cpu, e));
+            self.arm_timer(cpu, Timer::SpinExit, np);
         }
     }
 
@@ -251,16 +275,12 @@ impl Engine {
         };
         let rate = self.sched.smt_factor(CpuId(cpu));
         let scaled = (left_ns as f64 / rate).ceil() as u64;
-        self.seg_epoch[cpu] += 1;
+        self.end_segment(cpu);
         self.seg_rate[cpu] = rate;
         self.run_kind[cpu] = kind;
         self.seg_done_at[cpu] = t + scaled.max(1);
         self.seg_event[cpu] = SegEventKind::WorkEnd;
-        self.spin_exit_at[cpu] = None;
-        self.queue.schedule(
-            self.seg_done_at[cpu],
-            Event::SegEnd(cpu, self.seg_epoch[cpu]),
-        );
+        self.arm_timer(cpu, Timer::SegEnd, self.seg_done_at[cpu]);
     }
 
     pub(crate) fn begin_spin_segment(
@@ -271,22 +291,16 @@ impl Engine {
         budget: Option<u64>,
         t: SimTime,
     ) {
-        self.seg_epoch[cpu] += 1;
+        self.end_segment(cpu);
         self.seg_rate[cpu] = 1.0;
         self.run_kind[cpu] = RunKind::Spin(sig);
         match budget {
             Some(b) => {
                 self.seg_done_at[cpu] = t + b.max(1);
                 self.seg_event[cpu] = SegEventKind::ParkDeadline;
-                self.queue.schedule(
-                    self.seg_done_at[cpu],
-                    Event::SegEnd(cpu, self.seg_epoch[cpu]),
-                );
+                self.arm_timer(cpu, Timer::SegEnd, self.seg_done_at[cpu]);
             }
-            None => {
-                self.seg_done_at[cpu] = SimTime::NEVER;
-                self.seg_event[cpu] = SegEventKind::None;
-            }
+            None => self.seg_done_at[cpu] = SimTime::NEVER,
         }
         // Offer the segment to the pipeline; the first mechanism that can
         // see this loop (PLE's visibility rules) arms a spin exit.
@@ -295,15 +309,9 @@ impl Engine {
         } else {
             self.mechs.arm_spin_exit(cpu, tid, &sig, self.cfg.env, t)
         };
-        match armed {
-            Some((at, idx)) => {
-                self.spin_exit_at[cpu] = Some((at, idx));
-                self.queue
-                    .schedule(at, Event::SpinExit(cpu, self.seg_epoch[cpu]));
-            }
-            None => {
-                self.spin_exit_at[cpu] = None;
-            }
+        if let Some((at, idx)) = armed {
+            self.spin_exit_at[cpu] = Some((at, idx));
+            self.arm_timer(cpu, Timer::SpinExit, at);
         }
     }
 }

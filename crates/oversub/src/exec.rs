@@ -162,9 +162,7 @@ impl Engine {
                     t,
                     oversub_sched::StopReason::Yielded,
                 );
-                self.stint_epoch[cpu] += 1;
-                self.seg_epoch[cpu] += 1;
-                self.spin_exit_at[cpu] = None;
+                self.end_stint(cpu);
                 self.sched_resched(t, cpu);
                 Flow::Break
             }
@@ -178,9 +176,7 @@ impl Engine {
                     oversub_sched::StopReason::Sleep,
                 );
                 self.conts[tid.0] = Cont::Blocked(Resume::Io);
-                self.stint_epoch[cpu] += 1;
-                self.seg_epoch[cpu] += 1;
-                self.spin_exit_at[cpu] = None;
+                self.end_stint(cpu);
                 self.queue.schedule(t + syscall + ns, Event::IoDone(tid.0));
                 self.sched_resched(t + syscall, cpu);
                 Flow::Break
@@ -195,9 +191,7 @@ impl Engine {
                 self.conts[tid.0] = Cont::Done;
                 self.live -= 1;
                 self.last_exit = self.last_exit.max_of(t);
-                self.stint_epoch[cpu] += 1;
-                self.seg_epoch[cpu] += 1;
-                self.spin_exit_at[cpu] = None;
+                self.end_stint(cpu);
                 self.sched_resched(t, cpu);
                 Flow::Break
             }
@@ -392,9 +386,7 @@ impl Engine {
                                 *s = Some(t);
                             }
                         }
-                        self.stint_epoch[cpu] += 1;
-                        self.seg_epoch[cpu] += 1;
-                        self.spin_exit_at[cpu] = None;
+                        self.end_stint(cpu);
                         self.sched_resched(t + out.cost_ns, cpu);
                         Flow::Break
                     }

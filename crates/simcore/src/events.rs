@@ -22,21 +22,27 @@
 //!
 //! Two implementations live behind [`EventQueue`]:
 //!
-//! - The default **fast** queue: a binary heap for one-shot events plus
+//! - The default **fast** queue: a binary heap for one-shot events,
 //!   per-cadence FIFO lanes that absorb the re-arms of fixed-interval
 //!   timers scheduled through [`EventQueue::schedule_cadenced`], keeping
-//!   the per-core tick traffic out of the comparison heap. A hot-lane pop
-//!   cache and optional auto-cadence rotation make a tick's pop-and-re-arm
-//!   O(1) in the steady state.
+//!   the per-core tick traffic out of the comparison heap, and an indexed
+//!   heap of re-armable timer slots ([`EventQueue::schedule_slot`]). A
+//!   hot-lane pop cache and optional auto-cadence rotation make a tick's
+//!   pop-and-re-arm O(1) in the steady state.
 //! - The **classic** queue ([`EventQueue::classic`]): a plain
 //!   `BinaryHeap`, kept as the measurement baseline and as the reference
 //!   model for the golden determinism test. Both implementations draw
 //!   sequence numbers and stamp keys the same way, so they pop the exact
-//!   same order for the same call sequence.
+//!   same order for the same call sequence, up to superseded slot
+//!   entries.
 //!
-//! The engine retires stale events by epoch checks when they pop, so a
-//! scheduled event always stays queued until it pops, and
-//! [`EventQueue::len`] is an exact count on both flavors.
+//! A slot holds at most one pending event on the fast queue: re-arming it
+//! replaces the pending entry and [`EventQueue::clear_slot`] drops it, so
+//! a superseded timer never pops. The classic queue keeps every arm as a
+//! plain push and ignores clears; its caller retires superseded entries
+//! by epoch checks when they pop. [`EventQueue::len`] counts what can
+//! still pop: superseded slot entries are excluded on the fast flavor and
+//! included on the classic one.
 
 use crate::time::SimTime;
 use std::cmp::Ordering;
@@ -279,16 +285,174 @@ impl<E> Lane<E> {
     }
 }
 
+struct SlotEntry<E> {
+    rank: Rank,
+    slot: u32,
+    payload: E,
+}
+
+/// Marks a slot with no pending entry in [`Slots::pos`].
+const UNARMED: u32 = u32::MAX;
+
+/// The fast queue's re-armable timer slots (see
+/// [`EventQueue::schedule_slot`]): an indexed binary min-heap of the armed
+/// slots by rank, so a re-arm or a clear finds its entry in O(1) and
+/// restores the heap in O(log armed).
+struct Slots<E> {
+    heap: Vec<SlotEntry<E>>,
+    /// Index in `heap` of each slot's entry, or [`UNARMED`].
+    pos: Vec<u32>,
+}
+
+impl<E> Slots<E> {
+    fn peek_rank(&self) -> Option<&Rank> {
+        self.heap.first().map(|e| &e.rank)
+    }
+
+    /// Arm `slot` under `rank`, replacing its pending entry; returns
+    /// whether the slot was empty.
+    fn arm(&mut self, slot: usize, rank: Rank, payload: E) -> bool {
+        if slot >= self.pos.len() {
+            self.pos.resize(slot + 1, UNARMED);
+        }
+        let i = self.pos[slot];
+        if i == UNARMED {
+            let i = self.heap.len();
+            self.heap.push(SlotEntry {
+                rank,
+                slot: slot as u32,
+                payload,
+            });
+            self.pos[slot] = i as u32;
+            self.sift_up(i);
+            return true;
+        }
+        let i = i as usize;
+        let e = &mut self.heap[i];
+        let earlier = rank < e.rank;
+        e.rank = rank;
+        e.payload = payload;
+        if earlier {
+            self.sift_up(i);
+        } else {
+            self.sift_down(i);
+        }
+        false
+    }
+
+    /// Drop `slot`'s pending entry; returns whether there was one.
+    fn clear(&mut self, slot: usize) -> bool {
+        match self.pos.get(slot) {
+            Some(&i) if i != UNARMED => {
+                self.remove_at(i as usize);
+                true
+            }
+            _ => false,
+        }
+    }
+
+    fn pop(&mut self) -> Option<SlotEntry<E>> {
+        (!self.heap.is_empty()).then(|| self.remove_at(0))
+    }
+
+    fn remove_at(&mut self, i: usize) -> SlotEntry<E> {
+        let e = self.heap.swap_remove(i);
+        self.pos[e.slot as usize] = UNARMED;
+        if i < self.heap.len() {
+            // The former last entry now sits at `i`, and may belong
+            // above or below it.
+            self.pos[self.heap[i].slot as usize] = i as u32;
+            if self.sift_up(i) == i {
+                self.sift_down(i);
+            }
+        }
+        e
+    }
+
+    /// Move the entry at `i` up to its place; returns where it landed.
+    fn sift_up(&mut self, mut i: usize) -> usize {
+        while i > 0 {
+            let parent = (i - 1) / 2;
+            if self.heap[i].rank >= self.heap[parent].rank {
+                break;
+            }
+            self.swap(i, parent);
+            i = parent;
+        }
+        i
+    }
+
+    fn sift_down(&mut self, mut i: usize) {
+        let n = self.heap.len();
+        loop {
+            let l = 2 * i + 1;
+            if l >= n {
+                return;
+            }
+            let r = l + 1;
+            let c = if r < n && self.heap[r].rank < self.heap[l].rank {
+                r
+            } else {
+                l
+            };
+            if self.heap[c].rank >= self.heap[i].rank {
+                return;
+            }
+            self.swap(i, c);
+            i = c;
+        }
+    }
+
+    fn swap(&mut self, a: usize, b: usize) {
+        self.heap.swap(a, b);
+        self.pos[self.heap[a].slot as usize] = a as u32;
+        self.pos[self.heap[b].slot as usize] = b as u32;
+    }
+}
+
+/// Where the fast queue's next event comes from.
+#[derive(Clone, Copy)]
+enum Source {
+    Heap,
+    Slots,
+    Lane(usize),
+}
+
+/// One step of the pop scan: offer source `src`, whose earliest entry has
+/// rank `r`. `best` tracks the minimum so far, `rest` the minimum over
+/// every other source offered.
+fn offer<'a>(
+    best: &mut Option<(Source, &'a Rank)>,
+    rest: &mut Option<&'a Rank>,
+    src: Source,
+    r: &'a Rank,
+) {
+    match *best {
+        Some((_, b)) if r >= b => {
+            if rest.is_none_or(|x| r < x) {
+                *rest = Some(r);
+            }
+        }
+        prev => {
+            if let Some((_, b)) = prev {
+                *rest = Some(rest.map_or(b, |x| x.min(b)));
+            }
+            *best = Some((src, r));
+        }
+    }
+}
+
 /// Cap on distinct cadences before falling back to the heap: lanes are
 /// scanned linearly on every pop, so this must stay small. Real engines
 /// have a handful (mechanism timer, balance, watchdog, fault tick).
 const MAX_LANES: usize = 8;
 
-/// The default implementation: a one-shot heap plus per-cadence FIFO
-/// lanes.
+/// The default implementation: a one-shot heap, per-cadence FIFO lanes
+/// and re-armable timer slots.
 struct FastQueue<E> {
     heap: Heap<E>,
     lanes: Vec<Lane<E>>,
+    slots: Slots<E>,
     /// Exact number of live (scheduled, not popped) events.
     live: usize,
     /// Rotate cadenced pops in place (see
@@ -298,13 +462,15 @@ struct FastQueue<E> {
     /// re-arm), if it did. Reset by every pop and every schedule call.
     rotated: Option<usize>,
     /// Hot-lane pop cache: the lane that won the last pop, paired with
-    /// the minimum rank over every *other* source (heap and
+    /// the minimum rank over every *other* source (heap, slots and
     /// remaining lanes) at that moment. While subsequent pushes land only
     /// on the hot lane — the steady state of a tick-dominated run, where
     /// each tick's re-arm goes straight back to its own lane — the
     /// other-source minimum cannot drop, so the next pop decides with a
     /// single key compare instead of a full source scan. Any push to
-    /// another source clears it.
+    /// another source (slot arms included) clears it; a slot clear only
+    /// removes an entry, which leaves the cached minimum a valid lower
+    /// bound.
     hot: Option<(usize, Option<Rank>)>,
 }
 
@@ -313,6 +479,10 @@ impl<E> FastQueue<E> {
         FastQueue {
             heap: Heap::new(),
             lanes: Vec::new(),
+            slots: Slots {
+                heap: Vec::new(),
+                pos: Vec::new(),
+            },
             live: 0,
             auto_cadence: false,
             rotated: None,
@@ -326,6 +496,23 @@ impl<E> FastQueue<E> {
         let key = self.heap.key_now(at, EventClass::OneShot);
         self.heap.schedule(key, payload);
         self.live += 1;
+    }
+
+    fn schedule_slot(&mut self, slot: usize, at: SimTime, payload: E) {
+        self.hot = None;
+        self.rotated = None;
+        let key = self.heap.key_now(at, EventClass::OneShot);
+        let seq = self.heap.next_seq();
+        let rank = self.heap.rank(key, seq);
+        if self.slots.arm(slot, rank, payload) {
+            self.live += 1;
+        }
+    }
+
+    fn clear_slot(&mut self, slot: usize) {
+        if self.slots.clear(slot) {
+            self.live -= 1;
+        }
     }
 
     /// Schedule a cadenced event under `key`: monotone re-arms append to
@@ -388,37 +575,40 @@ impl<E> FastQueue<E> {
             }
             self.hot = None;
         }
-        // Unsalted whenever a lane holds anything, so `ord` is the raw
-        // sequence number and ranks compare across sources. Find the
-        // winning source (`None` = the heap) and the minimum over every
-        // other source, which seeds the hot cache when a lane wins.
-        let mut best: Option<(Option<usize>, &Rank)> = self.heap.peek_rank().map(|r| (None, r));
+        // Find the winning source and the minimum over every other
+        // source, which seeds the hot cache when a lane wins. Ranks
+        // compare across sources: lanes only hold anything when the queue
+        // is unsalted, and the slot heap orders by the same full rank as
+        // the one-shot heap.
+        let mut best: Option<(Source, &Rank)> = None;
         let mut rest: Option<&Rank> = None;
+        if let Some(r) = self.heap.peek_rank() {
+            offer(&mut best, &mut rest, Source::Heap, r);
+        }
+        if let Some(r) = self.slots.peek_rank() {
+            offer(&mut best, &mut rest, Source::Slots, r);
+        }
         for (i, l) in self.lanes.iter().enumerate() {
-            let Some(e) = l.q.front() else { continue };
-            match best {
-                Some((_, b)) if e.rank >= *b => {
-                    if rest.is_none_or(|r| e.rank < *r) {
-                        rest = Some(&e.rank);
-                    }
-                }
-                _ => {
-                    if let Some((_, b)) = best {
-                        rest = Some(rest.map_or(b, |r| r.min(b)));
-                    }
-                    best = Some((Some(i), &e.rank));
-                }
+            if let Some(e) = l.q.front() {
+                offer(&mut best, &mut rest, Source::Lane(i), &e.rank);
             }
         }
         match best? {
-            (Some(i), _) => {
+            (Source::Lane(i), _) => {
                 self.hot = Some((i, rest.copied()));
                 self.pop_lane(i)
             }
-            (None, _) => {
+            (Source::Heap, _) => {
                 let popped = self.heap.pop()?;
                 self.live -= 1;
                 Some(popped)
+            }
+            (Source::Slots, _) => {
+                let e = self.slots.pop()?;
+                self.heap.burst += 1;
+                self.heap.current = e.rank;
+                self.live -= 1;
+                Some((e.rank.time(), e.payload))
             }
         }
     }
@@ -544,6 +734,28 @@ impl<E> EventQueue<E> {
         }
     }
 
+    /// Arm the re-armable one-shot timer `slot` (any small index the
+    /// caller owns, e.g. one per CPU and timer kind) for `at`. The event
+    /// gets exactly the key and sequence number [`schedule`](Self::schedule)
+    /// would give it. On the fast queue it *replaces* whatever the slot
+    /// held, so a superseded timer never pops; the classic queue pushes it
+    /// like any one-shot event and leaves superseded entries for the
+    /// caller to retire when they pop.
+    pub fn schedule_slot(&mut self, slot: usize, at: SimTime, payload: E) {
+        match &mut self.imp {
+            Imp::Fast(q) => q.schedule_slot(slot, at, payload),
+            Imp::Classic(h) => h.schedule(h.key_now(at, EventClass::OneShot), payload),
+        }
+    }
+
+    /// Drop `slot`'s pending timer, if any. A no-op on the classic queue
+    /// (see [`schedule_slot`](Self::schedule_slot)).
+    pub fn clear_slot(&mut self, slot: usize) {
+        if let Imp::Fast(q) = &mut self.imp {
+            q.clear_slot(slot);
+        }
+    }
+
     /// [`schedule`](Self::schedule) a periodic timer's re-arm, with its
     /// cadence declared. The event gets the cadenced tie class. On the
     /// fast queue, re-arms of a fixed-interval timer fire in time order
@@ -657,7 +869,10 @@ impl<E> EventQueue<E> {
         self.len() == 0
     }
 
-    /// Number of pending events (exact on both flavors).
+    /// Number of events that can still pop. Exact on both flavors; on the
+    /// fast queue an armed slot counts once, while the classic queue also
+    /// counts the superseded slot entries it still holds (see
+    /// [`schedule_slot`](Self::schedule_slot)).
     pub fn len(&self) -> usize {
         match &self.imp {
             Imp::Fast(q) => q.live,
@@ -759,6 +974,83 @@ mod tests {
         let k = EventKey::cadenced_tick(SimTime::from_nanos(300), 100);
         assert_eq!(q.current_key(), k);
         assert_eq!(k.sched_at, SimTime::from_nanos(200));
+    }
+
+    /// Re-arming a slot replaces its pending entry on the fast queue (the
+    /// new arm keeps the sequence number it drew, so ties order by arm
+    /// time) and leaves the superseded one queued on the classic queue.
+    #[test]
+    fn slot_rearm_replaces_the_pending_entry() {
+        let mut q = EventQueue::new();
+        q.schedule_slot(0, SimTime::from_nanos(10), "stale");
+        q.schedule(SimTime::from_nanos(20), "tie");
+        q.schedule_slot(0, SimTime::from_nanos(20), "slot");
+        assert_eq!(q.len(), 2);
+        let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, p)| p).collect();
+        assert_eq!(order, vec!["tie", "slot"]);
+
+        let mut c = EventQueue::classic();
+        c.schedule_slot(0, SimTime::from_nanos(10), "stale");
+        c.schedule_slot(0, SimTime::from_nanos(20), "slot");
+        c.clear_slot(0);
+        assert_eq!(c.len(), 2, "the classic queue keeps every arm");
+        let order: Vec<_> = std::iter::from_fn(|| c.pop()).map(|(_, p)| p).collect();
+        assert_eq!(order, vec!["stale", "slot"]);
+    }
+
+    /// A cleared slot never pops, and clearing an empty slot (or one past
+    /// any armed index) is a no-op.
+    #[test]
+    fn cleared_slots_never_pop() {
+        let mut q = EventQueue::new();
+        for s in 0..6 {
+            q.schedule_slot(s, SimTime::from_nanos(100 - s as u64), s);
+        }
+        q.clear_slot(3);
+        q.clear_slot(3);
+        q.clear_slot(0);
+        q.clear_slot(99);
+        assert_eq!(q.len(), 4);
+        let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, p)| p).collect();
+        assert_eq!(order, vec![5, 4, 2, 1]);
+        assert!(q.is_empty());
+    }
+
+    /// Popping a slot's entry empties the slot: it can be armed again,
+    /// and a clear after the pop removes nothing else.
+    #[test]
+    fn popping_a_slot_empties_it() {
+        let mut q = EventQueue::new();
+        q.schedule_slot(7, SimTime::from_nanos(5), 1);
+        q.schedule(SimTime::from_nanos(9), 2);
+        assert_eq!(q.pop(), Some((SimTime::from_nanos(5), 1)));
+        q.clear_slot(7);
+        assert_eq!(q.len(), 1);
+        q.schedule_slot(7, SimTime::from_nanos(8), 3);
+        assert_eq!(q.len(), 2);
+        assert_eq!(q.pop(), Some((SimTime::from_nanos(8), 3)));
+        assert_eq!(q.pop(), Some((SimTime::from_nanos(9), 2)));
+        assert_eq!(q.pop(), None);
+    }
+
+    /// Slots interleave with lanes and the one-shot heap in key order,
+    /// and a slot armed below the hot lane's cached bound wins the next
+    /// pop.
+    #[test]
+    fn slots_interleave_with_lanes_and_heap() {
+        let mut q = EventQueue::new();
+        q.set_auto_cadence(true);
+        q.schedule_cadenced(SimTime::from_nanos(10), 10, 0);
+        q.schedule(SimTime::from_nanos(35), 1);
+        assert_eq!(q.pop(), Some((SimTime::from_nanos(10), 0)));
+        assert_eq!(q.pop(), Some((SimTime::from_nanos(20), 0)));
+        // Hot lane cached with the heap's 35 as its bound; a slot at 25
+        // must beat the lane's next tick at 30.
+        q.schedule_slot(1, SimTime::from_nanos(25), 2);
+        assert_eq!(q.pop(), Some((SimTime::from_nanos(25), 2)));
+        assert_eq!(q.pop(), Some((SimTime::from_nanos(30), 0)));
+        assert_eq!(q.pop(), Some((SimTime::from_nanos(35), 1)));
+        assert_eq!(q.len(), 1, "the rotating tick stays queued");
     }
 
     /// A non-zero salt permutes equal-time pops but keeps time order,
