@@ -38,7 +38,11 @@
 //!
 //! With `--check` the committed baseline is left untouched: the process
 //! exits non-zero if any arm's optimized engine processes more events
-//! than its committed `optimized_events_ceiling`, if any arm with a
+//! than its committed `optimized_events_ceiling`, if any arm's optimized
+//! scheduler examines more CPUs in its balance, idle-pull or nohz-kick
+//! searches than the committed `optimized_scan_visits_ceiling` (exact and
+//! host-independent, like the event ceiling: a search that falls back to
+//! striding over every CPU fails it on any host), if any arm with a
 //! committed wall-clock speedup floor of at least 1.2x sees its fresh
 //! engine-vs-engine wall-clock speedup fall below 0.9x its committed
 //! `wall_clock_speedup_milli_floor` (a ratio of two runs on the same
@@ -232,7 +236,21 @@ fn phase_json(p: &PhaseProfile) -> JsonValue {
         ("balance_ns", JsonValue::UInt(p.balance_ns as u128)),
         ("other_ns", JsonValue::UInt(p.other_ns as u128)),
         ("total_ns", JsonValue::UInt(p.total_ns() as u128)),
+        ("scan_visits", visits_json(p)),
     ])
+}
+
+/// The scheduler's search visits per search kind (deterministic counts).
+const SEARCHES: [&str; 3] = ["balance", "idle_pull", "kick"];
+
+fn visits_json(p: &PhaseProfile) -> JsonValue {
+    let v = p.scan_visits;
+    let counts = [v.balance, v.idle_pull, v.kick];
+    obj(SEARCHES
+        .iter()
+        .zip(counts)
+        .map(|(&name, n)| (name, JsonValue::UInt(n as u128)))
+        .collect())
 }
 
 fn eps(events: u64, wall_ns: u64) -> u64 {
@@ -361,6 +379,8 @@ fn main() {
         let wall_floor = prior_row
             .and_then(|r| r.get("wall_clock_speedup_milli_floor")?.as_u64())
             .map_or(wall_x_milli, |prev| wall_x_milli.min(prev));
+        let ref_prof = profile(&arm, arm.cfg.clone().with_reference_engine(true));
+        let fast_prof = profile(&arm, arm.cfg.clone());
         rows.push(obj(vec![
             ("workload", JsonValue::Str(arm.name.to_string())),
             ("reference_events", JsonValue::UInt(ref_events as u128)),
@@ -371,6 +391,7 @@ fn main() {
                 "optimized_events_ceiling",
                 JsonValue::UInt(fast_events as u128),
             ),
+            ("optimized_scan_visits_ceiling", visits_json(&fast_prof)),
             ("optimized_wall_ns", JsonValue::UInt(fast_ns as u128)),
             (
                 "optimized_events_per_sec",
@@ -393,11 +414,8 @@ fn main() {
             (
                 "phase_breakdown",
                 obj(vec![
-                    (
-                        "reference",
-                        phase_json(&profile(&arm, arm.cfg.clone().with_reference_engine(true))),
-                    ),
-                    ("optimized", phase_json(&profile(&arm, arm.cfg.clone()))),
+                    ("reference", phase_json(&ref_prof)),
+                    ("optimized", phase_json(&fast_prof)),
                 ]),
             ),
         ]));
@@ -434,7 +452,9 @@ fn main() {
              reference), so \
              events/sec is informational; phase_breakdown is one instrumented \
              untimed run per engine; gates: optimized_events <= \
-             optimized_events_ceiling (exact), wall_clock_speedup_milli_current \
+             optimized_events_ceiling (exact), the optimized phase_breakdown's \
+             scan_visits <= optimized_scan_visits_ceiling per search (exact), \
+             wall_clock_speedup_milli_current \
              >= 0.9x the committed wall_clock_speedup_milli_floor on arms whose \
              floor is >= 1.2x (the floor ratchets to the per-arm minimum across \
              regenerations unless --baseline-reset), and >= 3.0x on the 512c arm"
@@ -466,19 +486,23 @@ fn main() {
     println!("\nwrote {}", path.display());
 }
 
-/// Compare a fresh measurement against the committed baseline. Three
+/// Compare a fresh measurement against the committed baseline. Four
 /// gates, all of which must hold:
 ///
 /// 1. every arm's optimized engine processes at most the committed
 ///    `optimized_events_ceiling` events (exact and host-independent —
 ///    catches work creeping back into the event queue);
-/// 2. every arm whose committed wall-clock speedup floor is at least
+/// 2. every arm's optimized scheduler examines at most the committed
+///    `optimized_scan_visits_ceiling` CPUs in each of its balance,
+///    idle-pull and nohz-kick searches (exact and host-independent —
+///    catches a search that strides over every CPU again);
+/// 3. every arm whose committed wall-clock speedup floor is at least
 ///    [`RATIO_GATE_MIN_MILLI`] keeps its fresh wall-clock *speedup over
 ///    the reference engine* above 0.9x the committed floor (relative
 ///    regression — both engines run on the same host, so this catches
 ///    optimizations quietly rotting even on faster or slower CI
 ///    hardware; near-1x arms are exempt, see the constant's docs);
-/// 3. [`GATED_ARM`]'s fresh wall-clock speedup clears the absolute
+/// 4. [`GATED_ARM`]'s fresh wall-clock speedup clears the absolute
 ///    [`SPEEDUP_FLOOR_MILLI`] floor.
 ///
 /// The baseline file is not rewritten.
@@ -546,6 +570,27 @@ fn check_against_baseline(fresh: &JsonValue, path: &std::path::Path) -> Result<(
             failures.push(format!(
                 "{name}: {fresh_events} events > committed ceiling {ceiling}"
             ));
+        }
+        let fresh_visits = row
+            .get("optimized_scan_visits_ceiling")
+            .ok_or("fresh row without 'optimized_scan_visits_ceiling'")?;
+        let base_visits = base
+            .get("optimized_scan_visits_ceiling")
+            .ok_or("baseline row without 'optimized_scan_visits_ceiling'")?;
+        for search in SEARCHES {
+            let fresh_n = field(fresh_visits, search)?;
+            let ceiling_n = field(base_visits, search).map_err(|e| format!("baseline {e}"))?;
+            let ok = fresh_n <= ceiling_n;
+            println!(
+                "  {name}: {search} search visited {fresh_n} cpus vs ceiling {ceiling_n} -> {}",
+                if ok { "ok" } else { "EXCEEDED" }
+            );
+            if !ok {
+                failures.push(format!(
+                    "{name}: {search} search visited {fresh_n} cpus > committed ceiling \
+                     {ceiling_n}"
+                ));
+            }
         }
         if !speedup_ok {
             failures.push(format!(

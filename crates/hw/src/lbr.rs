@@ -40,6 +40,15 @@ pub struct Lbr {
     head: usize,
     /// Total branches recorded since the last clear (can exceed ring size).
     recorded_since_clear: u64,
+    /// `(base, head)` of the last full [`Lbr::record_varied`] fill, kept
+    /// while the ring still holds exactly what that fill wrote: any other
+    /// write drops it, and [`Lbr::clear`] keeps it (clearing resets the
+    /// counters, not the slots). A full fill writes 16 entries that depend
+    /// only on `base`, starting at `head` and ending back at `head`, so a
+    /// repeat fill at the same head rewrites identical slots and only its
+    /// counter updates remain — the common case of a task running
+    /// ordinary code across monitoring windows.
+    varied_memo: Option<(u64, usize)>,
 }
 
 impl Default for Lbr {
@@ -56,12 +65,14 @@ impl Lbr {
             valid: 0,
             head: 0,
             recorded_since_clear: 0,
+            varied_memo: None,
         }
     }
 
     /// Record a single retired branch.
     #[inline]
     pub fn record(&mut self, from: u64, to: u64) {
+        self.varied_memo = None;
         self.ring[self.head] = BranchRecord { from, to };
         self.head = (self.head + 1) % LBR_ENTRIES;
         if self.valid < LBR_ENTRIES {
@@ -76,6 +87,7 @@ impl Lbr {
         if count == 0 {
             return;
         }
+        self.varied_memo = None;
         let reps = count.min(LBR_ENTRIES as u64) as usize;
         for _ in 0..reps {
             self.ring[self.head] = BranchRecord { from, to };
@@ -85,22 +97,42 @@ impl Lbr {
         self.recorded_since_clear += count;
     }
 
-    /// Record a stream of varied branches, as ordinary code does. The
-    /// addresses are synthesized from `base` so that consecutive entries
-    /// differ and include forward branches.
+    /// Branch `i` of the varied stream synthesized from `base`:
+    /// consecutive entries differ, and forward and backward branches
+    /// alternate at varied addresses.
+    #[inline]
+    pub fn varied_branch(base: u64, i: u64) -> BranchRecord {
+        let k = base.wrapping_add(i.wrapping_mul(0x9E37)) & 0xFFFF;
+        let from = 0x40_0000 + k * 64;
+        let to = if i.is_multiple_of(2) {
+            from + 128
+        } else {
+            from - 96
+        };
+        BranchRecord { from, to }
+    }
+
+    /// Record a stream of varied branches, as ordinary code does: the
+    /// first `min(count, 16)` branches of [`Lbr::varied_branch`]'s stream
+    /// from `base` land in the ring, and all `count` are counted.
     pub fn record_varied(&mut self, base: u64, count: u64) {
-        if count == 0 {
+        if count < LBR_ENTRIES as u64 {
+            for i in 0..count {
+                let b = Self::varied_branch(base, i);
+                self.record(b.from, b.to);
+            }
             return;
         }
-        let reps = count.min(LBR_ENTRIES as u64);
-        for i in 0..reps {
-            let k = base.wrapping_add(i.wrapping_mul(0x9E37)) & 0xFFFF;
-            // Alternate forward and backward branches at varied addresses.
-            let from = 0x40_0000 + k * 64;
-            let to = if i % 2 == 0 { from + 128 } else { from - 96 };
-            self.record(from, to);
+        // A full fill wraps the ring exactly once: `head` ends where it
+        // started.
+        if self.varied_memo != Some((base, self.head)) {
+            for i in 0..LBR_ENTRIES {
+                self.ring[(self.head + i) % LBR_ENTRIES] = Self::varied_branch(base, i as u64);
+            }
+            self.varied_memo = Some((base, self.head));
         }
-        self.recorded_since_clear += count.saturating_sub(reps);
+        self.valid = LBR_ENTRIES;
+        self.recorded_since_clear += count;
     }
 
     /// Number of valid entries since the last clear (<= 16).

@@ -1,8 +1,76 @@
 //! Property tests of the analytic memory model and the monitored hardware
 //! state.
 
-use oversub_hw::{AccessPattern, CoreHw, Lbr, MemModel, NormalCodeRates};
+use oversub_hw::{
+    AccessPattern, BranchRecord, CoreHw, Lbr, MemModel, NormalCodeRates, LBR_ENTRIES,
+};
 use proptest::prelude::*;
+
+#[derive(Clone, Copy, Debug)]
+enum LbrOp {
+    Record(u64, u64),
+    Varied(u64, u64),
+    Repeated(u64, u64, u64),
+    Clear,
+}
+
+fn arb_lbr_ops() -> impl Strategy<Value = Vec<LbrOp>> {
+    proptest::collection::vec(
+        prop_oneof![
+            (0u64..64, 0u64..64).prop_map(|(f, t)| LbrOp::Record(f, t)),
+            // Few bases, so repeat fills at the same head are common.
+            (0u64..3, 0u64..40).prop_map(|(b, n)| LbrOp::Varied(b, n)),
+            (0u64..3, 16u64..100).prop_map(|(b, n)| LbrOp::Varied(b, n)),
+            (0u64..64, 0u64..64, 0u64..40).prop_map(|(f, t, n)| LbrOp::Repeated(f, t, n)),
+            Just(LbrOp::Clear),
+        ],
+        1..120,
+    )
+}
+
+/// The ring without the varied-fill memo: every branch written slot by
+/// slot, exactly as `record_varied` is specified.
+#[derive(Default)]
+struct PlainRing {
+    ring: [BranchRecord; LBR_ENTRIES],
+    valid: usize,
+    head: usize,
+    recorded: u64,
+}
+
+impl PlainRing {
+    fn record(&mut self, b: BranchRecord) {
+        self.ring[self.head] = b;
+        self.head = (self.head + 1) % LBR_ENTRIES;
+        self.valid = (self.valid + 1).min(LBR_ENTRIES);
+        self.recorded += 1;
+    }
+
+    fn apply(&mut self, op: LbrOp) {
+        match op {
+            LbrOp::Record(from, to) => self.record(BranchRecord { from, to }),
+            LbrOp::Varied(base, n) => {
+                let written = n.min(LBR_ENTRIES as u64);
+                for i in 0..written {
+                    self.record(Lbr::varied_branch(base, i));
+                }
+                self.recorded += n - written;
+            }
+            LbrOp::Repeated(from, to, n) => {
+                let written = n.min(LBR_ENTRIES as u64);
+                for _ in 0..written {
+                    self.record(BranchRecord { from, to });
+                }
+                self.recorded += n - written;
+            }
+            LbrOp::Clear => {
+                self.valid = 0;
+                self.head = 0;
+                self.recorded = 0;
+            }
+        }
+    }
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
@@ -107,5 +175,29 @@ proptest! {
         prop_assert!(hw.lbr.all_identical_backward());
         hw.note_normal_execution(tail * 1_000, &NormalCodeRates::default(), 3);
         prop_assert!(!hw.lbr.all_identical_backward() || hw.pmc.l1d_misses > 0);
+    }
+
+    /// The varied-fill memo is invisible: after every operation of any
+    /// record/varied/repeated/clear sequence the ring reads exactly like
+    /// one that writes every branch.
+    #[test]
+    fn lbr_varied_memo_matches_a_plain_ring(ops in arb_lbr_ops()) {
+        let mut lbr = Lbr::new();
+        let mut plain = PlainRing::default();
+        for op in ops {
+            match op {
+                LbrOp::Record(f, t) => lbr.record(f, t),
+                LbrOp::Varied(b, n) => lbr.record_varied(b, n),
+                LbrOp::Repeated(f, t, n) => lbr.record_repeated(f, t, n),
+                LbrOp::Clear => lbr.clear(),
+            }
+            plain.apply(op);
+            prop_assert_eq!(lbr.entries(), &plain.ring[..plain.valid], "after {:?}", op);
+            prop_assert_eq!(lbr.recorded_since_clear(), plain.recorded);
+            let spin = plain.valid == LBR_ENTRIES
+                && plain.ring[0].is_backward()
+                && plain.ring.iter().all(|r| *r == plain.ring[0]);
+            prop_assert_eq!(lbr.all_identical_backward(), spin);
+        }
     }
 }

@@ -95,12 +95,7 @@ impl Engine {
             // while another CPU sits idle, poke one idle CPU so its idle
             // balance can pull the waiter over (as CFS does at wakeup).
             if self.sched.cpus[w.cpu.0].current.is_some() {
-                let idle = self
-                    .sched
-                    .topo
-                    .cpu_ids()
-                    .find(|c| self.sched.online[c.0] && self.sched.cpus[c.0].is_idle());
-                if let Some(c) = idle {
+                if let Some(c) = self.sched.nohz_idle_cpu() {
                     self.sched_resched(done, c.0);
                 }
             }

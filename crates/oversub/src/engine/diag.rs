@@ -2,6 +2,7 @@
 //! stall-state dumps (`OVERSUB_DUMP_STALL`).
 
 use super::{Cont, Engine};
+use oversub_hw::CpuId;
 use oversub_task::TaskId;
 
 impl Engine {
@@ -21,10 +22,11 @@ impl Engine {
         None
     }
 
-    /// Diagnostic: audit runqueue invariants (enabled via OVERSUB_CHECK),
-    /// dumping queue contents and panicking on a mismatch.
+    /// Diagnostic: audit runqueue invariants and the scheduler's boards
+    /// against them (enabled via OVERSUB_CHECK), dumping queue contents
+    /// and panicking on a mismatch.
     pub(super) fn audit_rqs(&self) {
-        if let Some(msg) = self.audit_rqs_check() {
+        if let Some(msg) = self.audit_rqs_check().or_else(|| self.sched.audit_boards()) {
             eprintln!("[audit] now={} {msg}", self.now);
             for (i, c) in self.sched.cpus.iter().enumerate() {
                 for (vr, tid) in c.rq.entries() {
@@ -62,7 +64,7 @@ impl Engine {
                 c.current,
                 c.rq.nr_schedulable(),
                 c.rq.nr_vb_parked(),
-                self.sched.online[i]
+                self.sched.is_online(CpuId(i))
             );
         }
         for (i, l) in self.sync.spinlocks.iter().enumerate() {

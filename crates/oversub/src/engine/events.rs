@@ -123,7 +123,7 @@ impl Engine {
             return; // already busy; preemption is a separate path
         }
         self.account_progress(cpu, self.now);
-        if !self.sched.online[cpu] {
+        if !self.sched.is_online(CpuId(cpu)) {
             return;
         }
         let mut t = self.now;
@@ -146,7 +146,7 @@ impl Engine {
                         // busier core (normal idle balancing composed with
                         // BWD's skip flags).
                         tried_steal_for_skip = true;
-                        let (mig, cost) = self.sched.idle_pull(&mut self.tasks, CpuId(cpu), t);
+                        let (mig, cost) = self.sched.idle_pull(&mut self.tasks, CpuId(cpu));
                         if let Some(m) = mig {
                             self.trace.record(t, m.to.0, m.task, TraceKind::Migrate);
                             self.charge_kernel(cpu, cost);
@@ -185,7 +185,7 @@ impl Engine {
                     // the stolen task *within this event* — deferring to a
                     // later event would let other idle CPUs steal it back
                     // and ping-pong forever.
-                    let (mig, cost) = self.sched.idle_pull(&mut self.tasks, CpuId(cpu), t);
+                    let (mig, cost) = self.sched.idle_pull(&mut self.tasks, CpuId(cpu));
                     let Some(m) = mig else {
                         return;
                     };
@@ -303,12 +303,10 @@ impl Engine {
                 Event::Balance(cpu),
             );
         }
-        if !self.sched.online[cpu] {
+        if !self.sched.is_online(CpuId(cpu)) {
             return;
         }
-        let (migs, cost) = self
-            .sched
-            .periodic_balance(&mut self.tasks, CpuId(cpu), self.now);
+        let (migs, cost) = self.sched.periodic_balance(&mut self.tasks, CpuId(cpu));
         // Balance runs in softirq context; only charge when idle to keep
         // the running task's segment timing intact (cost is small).
         if self.sched.cpus[cpu].current.is_none() {

@@ -51,6 +51,7 @@ use oversub_hw::{CpuId, MemModel, NormalCodeRates};
 use oversub_ksync::{EpollTable, FutexTable};
 use oversub_locks::{LockDep, SyncRegistry};
 use oversub_metrics::{Diagnostic, RunReport};
+use oversub_sched::ScanVisits;
 use oversub_simcore::{EventClass, EventKey, EventQueue, SimRng, SimTime, VClock};
 use oversub_task::{Action, EpollFd, FlagId, LockId, SemId, SpinSig, Task, TaskId, TaskTable};
 use oversub_workloads::workload::{Workload, WorldBuilder};
@@ -191,9 +192,10 @@ impl Timer {
     }
 }
 
-/// Host-side time attribution of one run, split by simulation phase.
-/// Filled only when profiling is requested ([`run_phase_profiled`]); the
-/// normal run loop pays one branch per event for the possibility.
+/// Host-side time attribution of one run, split by simulation phase, plus
+/// the scheduler's search-visit counts. Filled only when profiling is
+/// requested ([`run_phase_profiled`]); the normal run loop pays one branch
+/// per event for the possibility.
 ///
 /// Handler buckets include the event-queue *inserts* those handlers make
 /// (a resched handler's slice arming, a timer handler's re-arm): the
@@ -211,6 +213,9 @@ pub struct PhaseProfile {
     pub balance_ns: u64,
     /// Everything else (segment ends, slice expiry, I/O, elasticity...).
     pub other_ns: u64,
+    /// CPUs examined by the balance, idle-pull and nohz-kick searches:
+    /// exact and host-independent, unlike the time buckets.
+    pub scan_visits: ScanVisits,
 }
 
 impl PhaseProfile {
@@ -669,11 +674,12 @@ impl Engine {
         self.mechs.flush_idle_checks(&mut pending);
         let trace = std::mem::take(&mut self.trace);
         let events = self.events_processed;
+        let scan_visits = self.sched.scan_visits;
         (
             self.build_report(workload, label, makespan),
             trace,
             events,
-            prof.map(|p| *p),
+            prof.map(|p| PhaseProfile { scan_visits, ..*p }),
         )
     }
 

@@ -47,7 +47,7 @@ impl Engine {
                 return;
             }
         }
-        if !self.sched.online[cpu] {
+        if !self.sched.is_online(CpuId(cpu)) {
             return;
         }
         if quiet {

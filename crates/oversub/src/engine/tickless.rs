@@ -145,7 +145,7 @@ impl Engine {
     #[inline]
     pub(crate) fn quiet_tick(&self, idx: usize, cpu: usize) -> bool {
         self.tickless.timer.is_some_and(|t| t.idx == idx)
-            && self.sched.online[cpu]
+            && self.sched.is_online(CpuId(cpu))
             && !self.sched.is_active(CpuId(cpu))
             && self.sched.cpus[cpu].hw.window_untouched()
     }

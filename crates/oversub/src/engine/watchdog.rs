@@ -4,7 +4,7 @@
 //! need their own clock: spurious wakeups of parked waiters and elastic
 //! revocation storms. `on_watchdog` is the defence — a periodic invariant
 //! sweep that detects lost-wakeup orphans (and rescues them, degrading VB
-//! to a real wake), per-task starvation, runqueue/waiter-board
+//! to a real wake), per-task starvation, runqueue and scheduler-board
 //! inconsistencies, and global no-progress hangs. Violations become
 //! structured [`Diagnostic`]s in the report; the only one that stops the
 //! run is a confirmed hang.
@@ -162,11 +162,12 @@ impl Engine {
             }
         }
 
-        // 3. Runqueue and waiter-board consistency.
+        // 3. Runqueue and board consistency (occupied, waiter and active
+        //    bitsets against the per-CPU truth).
         if let Some(msg) = self.audit_rqs_check() {
             self.push_diagnostic("rq-inconsistency", None, None, msg);
         }
-        if let Some(msg) = self.sched.audit_waiter_board() {
+        if let Some(msg) = self.sched.audit_boards() {
             self.push_diagnostic("waiter-board-mismatch", None, None, msg);
         }
 

@@ -11,7 +11,6 @@
 
 use crate::sched::{MigrationEvent, Scheduler};
 use oversub_hw::CpuId;
-use oversub_simcore::SimTime;
 use oversub_task::{TaskId, TaskTable};
 
 /// Cost charged to the balancing CPU per balance pass.
@@ -79,17 +78,15 @@ impl Scheduler {
         &mut self,
         tasks: &mut TaskTable,
         cpu: CpuId,
-        now: SimTime,
     ) -> (Vec<MigrationEvent>, u64) {
-        self.cpus[cpu.0].next_balance = now + self.params.balance_interval_ns;
         let my_load = self.cpus[cpu.0].load();
         let mut migrations = Vec::new();
         let mut cost = BALANCE_PASS_NS;
 
-        if !self.online[cpu.0] {
+        if !self.is_online(cpu) {
             return (migrations, 0);
         }
-        if !self.reference && self.waiter_board.get() == 0 {
+        if !self.reference && self.boards.waiters.is_empty() {
             // No runqueue anywhere holds a schedulable waiter, so
             // `pick_victim` would return `None` for every source and the
             // pass below would migrate nothing at cost `BALANCE_PASS_NS`
@@ -97,13 +94,52 @@ impl Scheduler {
             // tasks, which are never victims). Same result, O(1).
             return (migrations, cost);
         }
-        // Find the busiest CPU, in-node candidates preferred via a lower
-        // imbalance threshold (CFS balances smaller domains more often).
+        // A source needs load >= my_load + 2 >= 2, and a CPU whose
+        // runqueue is empty has load <= 1 (its running task at most), so
+        // only occupied runqueues can be the busiest. Walking them in
+        // ascending order keeps the full stride's tie-breaks.
+        let (busiest, visits) = if self.reference {
+            self.find_busiest(cpu, my_load, 0..self.cpus.len())
+        } else {
+            self.find_busiest(cpu, my_load, self.boards.occupied.iter())
+        };
+        self.scan_visits.balance += visits;
+
+        if let Some((src, src_load)) = busiest {
+            // Pull roughly half the imbalance, at least one task.
+            let to_pull = ((src_load - my_load) / 2).max(1);
+            for _ in 0..to_pull {
+                if self.cpus[src.0].load() <= self.cpus[cpu.0].load() + 1 {
+                    break;
+                }
+                let Some(victim) = self.pick_victim(tasks, src, cpu) else {
+                    break;
+                };
+                migrations.push(self.do_migrate(tasks, victim, src, cpu));
+                cost += MIGRATE_OP_NS;
+            }
+        }
+        (migrations, cost)
+    }
+
+    /// The busiest imbalanced source for `cpu` among `candidates`
+    /// (ascending CPU indices), with in-node candidates preferred via a
+    /// lower imbalance threshold (CFS balances smaller domains more
+    /// often). Returns the source and its load, plus the number of
+    /// candidates examined.
+    fn find_busiest(
+        &self,
+        cpu: CpuId,
+        my_load: usize,
+        candidates: impl Iterator<Item = usize>,
+    ) -> (Option<(CpuId, usize)>, u64) {
         let mut busiest: Option<(CpuId, usize, bool)> = None;
-        for c in self.topo.cpu_ids() {
+        let mut visits = 0;
+        for c in candidates.map(CpuId) {
             if c == cpu {
                 continue;
             }
+            visits += 1;
             let load = self.cpus[c.0].load();
             let in_node = self.topo.same_node(c, cpu);
             let threshold_pct = if in_node {
@@ -121,22 +157,7 @@ impl Scheduler {
                 }
             }
         }
-
-        if let Some((src, src_load, _)) = busiest {
-            // Pull roughly half the imbalance, at least one task.
-            let to_pull = ((src_load - my_load) / 2).max(1);
-            for _ in 0..to_pull {
-                if self.cpus[src.0].load() <= self.cpus[cpu.0].load() + 1 {
-                    break;
-                }
-                let Some(victim) = self.pick_victim(tasks, src, cpu) else {
-                    break;
-                };
-                migrations.push(self.do_migrate(tasks, victim, src, cpu));
-                cost += MIGRATE_OP_NS;
-            }
-        }
-        (migrations, cost)
+        (busiest.map(|(c, load, _)| (c, load)), visits)
     }
 
     /// Idle balance: `cpu` just ran out of schedulable work; try to steal
@@ -145,25 +166,52 @@ impl Scheduler {
         &mut self,
         tasks: &mut TaskTable,
         cpu: CpuId,
-        _now: SimTime,
     ) -> (Option<MigrationEvent>, u64) {
-        if !self.params.idle_balance || !self.online[cpu.0] {
+        if !self.params.idle_balance || !self.is_online(cpu) {
             return (None, 0);
         }
-        if !self.reference && self.waiter_board.get() == 0 {
+        if !self.reference && self.boards.waiters.is_empty() {
             // No runqueue anywhere has a schedulable waiter, so the scan
             // below would find no candidate. Same result, O(1) — this is
             // the common case on wake-heavy workloads, where most resched
             // pokes find an idle machine.
             return (None, BALANCE_PASS_NS / 2);
         }
-        // Steal from the most loaded CPU that has at least 2 queued
-        // schedulable tasks (leave it one).
+        // Only runqueues with a schedulable waiter are candidates, so the
+        // board walk visits exactly the CPUs the full stride would keep.
+        let (best, visits) = if self.reference {
+            self.find_steal_source(cpu, 0..self.cpus.len())
+        } else {
+            self.find_steal_source(cpu, self.boards.waiters.iter())
+        };
+        self.scan_visits.idle_pull += visits;
+        let Some(src) = best else {
+            return (None, BALANCE_PASS_NS / 2);
+        };
+        match self.pick_victim(tasks, src, cpu) {
+            Some(victim) => {
+                let ev = self.do_migrate(tasks, victim, src, cpu);
+                (Some(ev), BALANCE_PASS_NS / 2 + MIGRATE_OP_NS)
+            }
+            None => (None, BALANCE_PASS_NS / 2),
+        }
+    }
+
+    /// The CPU among `candidates` (ascending) with the most schedulable
+    /// waiters, in-node CPUs first: steal from the most loaded queue.
+    /// Returns it plus the number of candidates examined.
+    fn find_steal_source(
+        &self,
+        cpu: CpuId,
+        candidates: impl Iterator<Item = usize>,
+    ) -> (Option<CpuId>, u64) {
         let mut best: Option<(CpuId, usize, bool)> = None;
-        for c in self.topo.cpu_ids() {
+        let mut visits = 0;
+        for c in candidates.map(CpuId) {
             if c == cpu {
                 continue;
             }
+            visits += 1;
             // A CPU is a steal candidate if it has a waiting schedulable
             // task beyond the one running.
             let waiting = self.cpus[c.0].rq.nr_schedulable();
@@ -177,16 +225,7 @@ impl Scheduler {
                 _ => best = Some((c, waiting, in_node)),
             }
         }
-        let Some((src, _, _)) = best else {
-            return (None, BALANCE_PASS_NS / 2);
-        };
-        match self.pick_victim(tasks, src, cpu) {
-            Some(victim) => {
-                let ev = self.do_migrate(tasks, victim, src, cpu);
-                (Some(ev), BALANCE_PASS_NS / 2 + MIGRATE_OP_NS)
-            }
-            None => (None, BALANCE_PASS_NS / 2),
-        }
+        (best.map(|(c, _, _)| c), visits)
     }
 }
 
@@ -196,6 +235,7 @@ mod tests {
     use crate::params::SchedParams;
     use crate::sched::Pick;
     use oversub_hw::{MemModel, Topology};
+    use oversub_simcore::SimTime;
     use oversub_task::{Action, FnProgram, Task, TaskId, TaskTable};
 
     fn mk_sched(topo: Topology) -> Scheduler {
@@ -222,7 +262,7 @@ mod tests {
         for i in 0..4 {
             s.enqueue_new(&mut tasks, TaskId(i), CpuId(0), now);
         }
-        let (migs, cost) = s.periodic_balance(&mut tasks, CpuId(1), now);
+        let (migs, cost) = s.periodic_balance(&mut tasks, CpuId(1));
         assert!(!migs.is_empty(), "idle cpu should pull");
         assert!(cost >= BALANCE_PASS_NS);
         for m in &migs {
@@ -245,7 +285,7 @@ mod tests {
         s.enqueue_new(&mut tasks, TaskId(1), CpuId(0), now);
         s.enqueue_new(&mut tasks, TaskId(2), CpuId(1), now);
         s.enqueue_new(&mut tasks, TaskId(3), CpuId(1), now);
-        let (migs, _) = s.periodic_balance(&mut tasks, CpuId(1), now);
+        let (migs, _) = s.periodic_balance(&mut tasks, CpuId(1));
         assert!(migs.is_empty());
     }
 
@@ -274,9 +314,9 @@ mod tests {
         }
         assert_eq!(s.cpus[0].rq.nr_vb_parked(), 4);
         // Balancer must not steal parked tasks even though cpu1 is idle.
-        let (migs, _) = s.periodic_balance(&mut tasks, CpuId(1), now);
+        let (migs, _) = s.periodic_balance(&mut tasks, CpuId(1));
         assert!(migs.is_empty(), "VB-parked tasks must never migrate");
-        let (mig, _) = s.idle_pull(&mut tasks, CpuId(1), now);
+        let (mig, _) = s.idle_pull(&mut tasks, CpuId(1));
         assert!(mig.is_none());
     }
 
@@ -288,7 +328,7 @@ mod tests {
         for i in 0..3 {
             s.enqueue_new(&mut tasks, TaskId(i), CpuId(0), now);
         }
-        let (mig, cost) = s.idle_pull(&mut tasks, CpuId(1), now);
+        let (mig, cost) = s.idle_pull(&mut tasks, CpuId(1));
         let mig = mig.expect("should steal");
         assert_eq!(mig.from, CpuId(0));
         assert!(cost > 0);
@@ -305,7 +345,7 @@ mod tests {
         let now = SimTime::ZERO;
         s.enqueue_new(&mut tasks, TaskId(0), CpuId(0), now);
         s.enqueue_new(&mut tasks, TaskId(1), CpuId(0), now);
-        let (mig, _) = s.idle_pull(&mut tasks, CpuId(1), now);
+        let (mig, _) = s.idle_pull(&mut tasks, CpuId(1));
         assert!(mig.is_none());
     }
 
@@ -318,7 +358,7 @@ mod tests {
             tasks.footprint_bytes[i] = 1 << 20;
             s.enqueue_new(&mut tasks, TaskId(i), CpuId(0), now);
         }
-        let (mig, _) = s.idle_pull(&mut tasks, CpuId(1), now);
+        let (mig, _) = s.idle_pull(&mut tasks, CpuId(1));
         let mig = mig.expect("steal across nodes");
         assert!(mig.cross_node);
         assert_eq!(tasks.stats[mig.task.0].migrations_remote, 1);
@@ -339,7 +379,7 @@ mod tests {
         for i in 3..6 {
             s.enqueue_new(&mut tasks, TaskId(i), CpuId(2), now);
         }
-        let (mig, _) = s.idle_pull(&mut tasks, CpuId(1), now);
+        let (mig, _) = s.idle_pull(&mut tasks, CpuId(1));
         assert_eq!(mig.expect("steal").from, CpuId(0));
     }
 }

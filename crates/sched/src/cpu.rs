@@ -4,7 +4,6 @@ use crate::rq::CfsRq;
 use oversub_hw::CoreHw;
 use oversub_simcore::{KernelLock, KernelLockParams, SimTime};
 use oversub_task::TaskId;
-use std::collections::BTreeMap;
 
 /// Breakdown of where a CPU's time went — the basis of the paper's
 /// "CPU utilization" column in Table 1.
@@ -52,10 +51,11 @@ pub struct CpuState {
     pub last_ran: Option<TaskId>,
     /// Monotone counter of picks, used to expire BWD skip flags.
     pub pick_round: u64,
-    /// `task -> pick_round` at which its BWD skip flag expires.
-    pub skip_release: BTreeMap<TaskId, u64>,
-    /// Next periodic load-balance time.
-    pub next_balance: SimTime,
+    /// `(task, pick_round)` at which each BWD skip flag here expires, at
+    /// most one entry per task. Unordered: every use (expire on pick, drop
+    /// on start, set on mark) is a linear pass over the few flagged tasks
+    /// whose result does not depend on order.
+    pub skip_release: Vec<(TaskId, u64)>,
     /// Time accounting.
     pub time: CpuTimeStats,
     /// Virtual time up to which this CPU's time has been accounted.
@@ -73,8 +73,7 @@ impl CpuState {
             hw: CoreHw::new(),
             last_ran: None,
             pick_round: 0,
-            skip_release: BTreeMap::new(),
-            next_balance: SimTime::ZERO,
+            skip_release: Vec::new(),
             time: CpuTimeStats::default(),
             accounted_until: SimTime::ZERO,
         }

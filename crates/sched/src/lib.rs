@@ -2,6 +2,9 @@
 //! hooks.
 //!
 //! Structure:
+//! - [`board`]: per-CPU bitsets (occupied and waiter runqueues, active and
+//!   online CPUs) that the machine-wide searches walk instead of every
+//!   CPU.
 //! - [`params`]: scheduler constants (3 ms latency, 750 µs granularity,
 //!   1.5 µs context switch, wakeup-path cost model).
 //! - [`rq`]: the vruntime-ordered runqueue; virtual blocking parks tasks in
@@ -14,6 +17,7 @@
 //!   migration storms the paper measures in Table 1.
 
 pub mod balance;
+pub mod board;
 pub mod cpu;
 pub mod params;
 pub mod rq;
@@ -21,7 +25,8 @@ pub mod rq;
 pub mod sched;
 
 pub use balance::{BALANCE_PASS_NS, MIGRATE_OP_NS};
+pub use board::{CpuBits, RqBoards};
 pub use cpu::{CpuState, CpuTimeStats};
 pub use params::SchedParams;
 pub use rq::{CfsRq, VB_TAIL_BASE};
-pub use sched::{MigrationEvent, Pick, Scheduler, StopReason, WakeOutcome};
+pub use sched::{MigrationEvent, Pick, ScanVisits, Scheduler, StopReason, WakeOutcome};

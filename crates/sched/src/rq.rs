@@ -12,6 +12,7 @@
 //! columns, so a scan stays in a handful of cache lines even with hundreds
 //! of tasks.
 
+use crate::board::RqBoards;
 use oversub_task::{TaskId, TaskState, TaskTable};
 use std::cell::Cell;
 use std::collections::BTreeSet;
@@ -41,12 +42,12 @@ pub struct CfsRq {
     /// When set, `pick_next` always scans (reference mode; the cache is
     /// bypassed and never populated).
     scan_mode: Cell<bool>,
-    /// Machine-wide count of runqueues with at least one schedulable
-    /// waiter, shared by every runqueue of one scheduler. Maintained on
-    /// the 0↔nonzero transitions of `nr_schedulable` so the idle balancer
-    /// can answer "is there anything to steal anywhere?" in O(1) instead
-    /// of striding over every CPU's state (see `Scheduler::idle_pull`).
-    waiter_board: Option<Rc<Cell<usize>>>,
+    /// The machine-wide boards shared by every runqueue of one scheduler,
+    /// and this queue's CPU index in them. The queue keeps its `occupied`
+    /// bit on the 0↔non-empty transitions of the tree and its `waiters`
+    /// bit on those of `nr_schedulable`, so the balancer's searches visit
+    /// only queues that can matter (see `Scheduler::periodic_balance`).
+    boards: Option<(Rc<RqBoards>, usize)>,
 }
 
 /// Can `pick_next` return this in-tree entry as an unforced pick?
@@ -99,27 +100,26 @@ impl CfsRq {
         self.tree.is_empty()
     }
 
-    /// Share the machine-wide waiter count with this runqueue. Folds the
-    /// queue's current population into the count, so it can be attached
-    /// at any point.
-    pub fn attach_waiter_board(&mut self, board: Rc<Cell<usize>>) {
-        if self.nr_schedulable > 0 {
-            board.set(board.get() + 1);
-        }
-        self.waiter_board = Some(board);
+    /// Share the machine-wide boards with this runqueue as CPU `cpu`.
+    /// Folds the queue's current population into them, so it can be
+    /// attached at any point.
+    pub fn attach_boards(&mut self, boards: Rc<RqBoards>, cpu: usize) {
+        boards.occupied.set(cpu, !self.tree.is_empty());
+        boards.waiters.set(cpu, self.nr_schedulable > 0);
+        self.boards = Some((boards, cpu));
     }
 
     #[inline]
-    fn waiters_became_nonzero(&self) {
-        if let Some(b) = &self.waiter_board {
-            b.set(b.get() + 1);
+    fn set_occupied(&self, on: bool) {
+        if let Some((b, cpu)) = &self.boards {
+            b.occupied.set(*cpu, on);
         }
     }
 
     #[inline]
-    fn waiters_became_zero(&self) {
-        if let Some(b) = &self.waiter_board {
-            b.set(b.get() - 1);
+    fn set_waiters(&self, on: bool) {
+        if let Some((b, cpu)) = &self.boards {
+            b.waiters.set(*cpu, on);
         }
     }
 
@@ -141,12 +141,15 @@ impl CfsRq {
         );
         let fresh = self.tree.insert((vruntime, tid));
         debug_assert!(fresh, "task {tid:?} double-enqueued");
+        if self.tree.len() == 1 {
+            self.set_occupied(true);
+        }
         if vb {
             self.nr_vb_parked += 1;
         } else {
             self.nr_schedulable += 1;
             if self.nr_schedulable == 1 {
-                self.waiters_became_nonzero();
+                self.set_waiters(true);
             }
         }
         self.note_inserted(tasks, tid, vruntime);
@@ -180,12 +183,15 @@ impl CfsRq {
         if self.pick_cache.get() == Some((vruntime, tid)) {
             self.pick_cache.set(None);
         }
+        if self.tree.is_empty() {
+            self.set_occupied(false);
+        }
         if tasks.vb_blocked[tid.0] {
             self.nr_vb_parked -= 1;
         } else {
             self.nr_schedulable -= 1;
             if self.nr_schedulable == 0 {
-                self.waiters_became_zero();
+                self.set_waiters(false);
             }
             self.update_min_vruntime();
         }
@@ -207,13 +213,13 @@ impl CfsRq {
                 self.nr_vb_parked -= 1;
                 self.nr_schedulable += 1;
                 if self.nr_schedulable == 1 {
-                    self.waiters_became_nonzero();
+                    self.set_waiters(true);
                 }
             }
             (false, true) => {
                 self.nr_schedulable -= 1;
                 if self.nr_schedulable == 0 {
-                    self.waiters_became_zero();
+                    self.set_waiters(false);
                 }
                 self.nr_vb_parked += 1;
             }

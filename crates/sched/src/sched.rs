@@ -8,13 +8,13 @@
 //! Task state lives in the struct-of-arrays [`TaskTable`]; every method
 //! indexes the columns it needs instead of chasing per-task structs.
 
+use crate::board::{CpuBits, RqBoards};
 use crate::cpu::CpuState;
 use crate::params::SchedParams;
 use crate::rq::VB_TAIL_BASE;
 use oversub_hw::{CpuId, MemModel, Topology};
 use oversub_simcore::SimTime;
 use oversub_task::{TaskId, TaskState, TaskTable};
-use std::cell::Cell;
 use std::rc::Rc;
 
 /// What `pick_next` decided for a CPU.
@@ -73,6 +73,21 @@ pub struct MigrationEvent {
     pub cross_node: bool,
 }
 
+/// Candidate CPUs examined by the scheduler's machine-wide searches since
+/// the scheduler was built. A full stride examines every other CPU per
+/// search; a board-driven search examines only the set bits it yields.
+/// Engine-internal host-cost counters, not simulated quantities.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct ScanVisits {
+    /// Busiest-source candidates examined by `periodic_balance`.
+    pub balance: u64,
+    /// Steal-source candidates examined by `idle_pull`.
+    pub idle_pull: u64,
+    /// Idle-CPU candidates examined by `nohz_idle_cpu`. Its board search
+    /// tests a whole word at a time and counts only the CPU it returns.
+    pub kick: u64,
+}
+
 /// The machine-wide scheduler state.
 pub struct Scheduler {
     /// Per-CPU state.
@@ -89,21 +104,23 @@ pub struct Scheduler {
     /// Penalties waiting to be charged when a task next runs
     /// (migration refill cost), indexed by task.
     pending_penalty: Vec<u64>,
-    /// Online mask: offline CPUs are never picked as wake or balance
-    /// destinations (CPU elasticity).
-    pub online: Vec<bool>,
-    /// Machine-wide count of runqueues with schedulable waiters (shared
-    /// with every [`crate::rq::CfsRq`]): the idle balancer's O(1)
-    /// "anything to steal?" check.
-    pub(crate) waiter_board: Rc<Cell<usize>>,
-    /// Active-core bitset: bit `i` of word `i / 64` is set exactly when
-    /// CPU `i` has a current task. Maintained on the only two transitions
-    /// (`start`, `stop_current`), so "is this core running anything" and
-    /// "how many cores are busy" are O(1)/O(words) without striding over
-    /// `cpus` — the basis of the O(active) mechanism-timer dispatch.
-    active_mask: Vec<u64>,
-    /// Reference (pre-overhaul) mode: uncached picks and full balancer
-    /// scans. See [`Scheduler::set_reference_mode`].
+    /// Online CPUs: offline CPUs are never picked as wake or balance
+    /// destinations (CPU elasticity). Its count is `num_online()`.
+    online: CpuBits,
+    /// Occupied and waiter boards, shared with every
+    /// [`crate::rq::CfsRq`]: the balancer's searches walk their set bits
+    /// instead of every CPU.
+    pub(crate) boards: Rc<RqBoards>,
+    /// Active CPUs: exactly those with a current task. Maintained on the
+    /// only two transitions (`start`, `stop_current`), so "is this core
+    /// running anything" and "how many cores are busy" are O(1) without
+    /// striding over `cpus` — the basis of the O(active) mechanism-timer
+    /// dispatch.
+    active: CpuBits,
+    /// Candidates examined by the machine-wide searches (profiling).
+    pub scan_visits: ScanVisits,
+    /// Reference (pre-overhaul) mode: uncached picks and full-stride
+    /// searches. See [`Scheduler::set_reference_mode`].
     pub(crate) reference: bool,
     /// BWD skip flags released by round expiry since the last drain
     /// (consumed via [`Scheduler::take_skips_released`] by the BWD
@@ -114,16 +131,17 @@ pub struct Scheduler {
 impl Scheduler {
     /// Build a scheduler for `topo`.
     pub fn new(topo: Topology, params: SchedParams, mem: MemModel, vb_enabled: bool) -> Self {
-        let waiter_board = Rc::new(Cell::new(0));
-        let cpus: Vec<CpuState> = (0..topo.num_cpus())
-            .map(|_| {
+        let ncpu = topo.num_cpus();
+        let boards = Rc::new(RqBoards::new(ncpu));
+        let cpus: Vec<CpuState> = (0..ncpu)
+            .map(|i| {
                 let mut c = CpuState::new(params.rq_lock);
-                c.rq.attach_waiter_board(Rc::clone(&waiter_board));
+                c.rq.attach_boards(Rc::clone(&boards), i);
                 c
             })
             .collect();
-        let online = vec![true; topo.num_cpus()];
-        let active_mask = vec![0u64; topo.num_cpus().div_ceil(64)];
+        let online = CpuBits::new(ncpu);
+        (0..ncpu).for_each(|i| online.set(i, true));
         Scheduler {
             cpus,
             topo,
@@ -132,8 +150,9 @@ impl Scheduler {
             vb_enabled,
             pending_penalty: Vec::new(),
             online,
-            waiter_board,
-            active_mask,
+            boards,
+            active: CpuBits::new(ncpu),
+            scan_visits: ScanVisits::default(),
             reference: false,
             skips_released: 0,
         }
@@ -149,47 +168,47 @@ impl Scheduler {
     /// `self.cpus[cpu.0].current.is_some()` by construction).
     #[inline]
     pub fn is_active(&self, cpu: CpuId) -> bool {
-        self.active_mask[cpu.0 >> 6] & (1u64 << (cpu.0 & 63)) != 0
+        self.active.contains(cpu.0)
     }
 
-    /// Number of CPUs currently running a task, in O(words) popcounts.
+    /// Number of CPUs currently running a task, O(1).
     #[inline]
     pub fn active_count(&self) -> usize {
-        self.active_mask
-            .iter()
-            .map(|w| w.count_ones() as usize)
-            .sum()
+        self.active.len()
     }
 
-    #[inline]
-    fn set_active(&mut self, cpu: CpuId, on: bool) {
-        let bit = 1u64 << (cpu.0 & 63);
-        if on {
-            self.active_mask[cpu.0 >> 6] |= bit;
-        } else {
-            self.active_mask[cpu.0 >> 6] &= !bit;
-        }
-    }
-
-    /// Cross-check the O(1) waiter board against the per-runqueue truth:
-    /// the board must equal the number of runqueues with at least one
-    /// schedulable task. Returns `None` when consistent, or a description
-    /// of the mismatch for the watchdog's diagnostics.
-    pub fn audit_waiter_board(&self) -> Option<String> {
-        let actual = self
-            .cpus
-            .iter()
-            .filter(|c| c.rq.nr_schedulable() > 0)
-            .count();
-        let board = self.waiter_board.get();
-        (board != actual).then(|| {
-            format!("waiter board reads {board} but {actual} runqueues have schedulable tasks")
-        })
+    /// Cross-check every board against the per-CPU truth: the occupied
+    /// board holds exactly the non-empty runqueues, the waiter board
+    /// exactly those with a schedulable task, the active set exactly the
+    /// CPUs with a current task, and each count its number of members.
+    /// Returns `None` when consistent, or a description of the first
+    /// mismatch for the watchdog's diagnostics.
+    pub fn audit_boards(&self) -> Option<String> {
+        let check = |name: &str, set: &CpuBits, truth: fn(&CpuState) -> bool| {
+            if let Some(i) = (0..self.cpus.len()).find(|&i| set.contains(i) != truth(&self.cpus[i]))
+            {
+                let bit = set.contains(i);
+                return Some(format!(
+                    "{name} board bit for cpu {i} reads {bit}, cpu disagrees"
+                ));
+            }
+            let members = self.cpus.iter().filter(|c| truth(c)).count();
+            (set.len() != members)
+                .then(|| format!("{name} board counts {} but holds {members} cpus", set.len()))
+        };
+        check("occupied", &self.boards.occupied, |c| !c.rq.is_empty())
+            .or_else(|| {
+                check("waiter", &self.boards.waiters, |c| {
+                    c.rq.nr_schedulable() > 0
+                })
+            })
+            .or_else(|| check("active", &self.active, |c| c.current.is_some()))
     }
 
     /// Switch the scheduler to its pre-overhaul reference internals:
     /// every runqueue scans instead of using its pick cache, and the
-    /// balancer skips its O(1) waiter-board fast paths. Behaviour is
+    /// balancer skips its board fast paths and strides over every CPU
+    /// in each machine-wide search. Behaviour is
     /// bit-identical either way (the golden determinism test proves it);
     /// this exists as the baseline for throughput comparisons.
     pub fn set_reference_mode(&mut self, on: bool) {
@@ -202,19 +221,41 @@ impl Scheduler {
     /// Bring exactly the first `n` CPUs online (CPU elasticity). The caller
     /// is responsible for draining newly-offline runqueues.
     pub fn set_online_count(&mut self, n: usize) {
-        for (i, o) in self.online.iter_mut().enumerate() {
-            *o = i < n;
-        }
+        (0..self.cpus.len()).for_each(|i| self.online.set(i, i < n));
     }
 
-    /// Number of online CPUs.
+    /// Number of online CPUs, O(1).
+    #[inline]
     pub fn num_online(&self) -> usize {
-        self.online.iter().filter(|&&o| o).count()
+        self.online.len()
     }
 
     /// Whether `cpu` is online.
+    #[inline]
     pub fn is_online(&self, cpu: CpuId) -> bool {
-        self.online[cpu.0]
+        self.online.contains(cpu.0)
+    }
+
+    /// The nohz idle-kick target: the lowest-numbered online CPU that is
+    /// idle (nothing running, no schedulable waiter). The board search
+    /// reads it word by word as `online & !active & !waiters`; the
+    /// reference engine strides over every CPU's state.
+    pub fn nohz_idle_cpu(&mut self) -> Option<CpuId> {
+        if self.reference {
+            let found = self
+                .topo
+                .cpu_ids()
+                .find(|&c| self.is_online(c) && self.cpus[c.0].is_idle());
+            self.scan_visits.kick += found.map_or(self.cpus.len(), |c| c.0 + 1) as u64;
+            return found;
+        }
+        let waiters = &self.boards.waiters;
+        let found = (0..self.online.num_words()).find_map(|w| {
+            let idle = self.online.word(w) & !self.active.word(w) & !waiters.word(w);
+            (idle != 0).then(|| CpuId(w * 64 + idle.trailing_zeros() as usize))
+        });
+        self.scan_visits.kick += u64::from(found.is_some());
+        found
     }
 
     /// Ensure the pending-penalty table covers `tid`.
@@ -278,20 +319,17 @@ impl Scheduler {
         let round = self.cpus[cpu.0].pick_round;
         let c = &mut self.cpus[cpu.0];
         if !c.skip_release.is_empty() {
-            let mut released = false;
-            let mut released_count = 0u64;
-            c.skip_release.retain(|&tid, &mut r| {
-                if round >= r {
+            let before = c.skip_release.len();
+            c.skip_release.retain(|&(tid, r)| {
+                let expired = round >= r;
+                if expired {
                     tasks.bwd_skip[tid.0] = false;
-                    released = true;
-                    released_count += 1;
-                    false
-                } else {
-                    true
                 }
+                !expired
             });
+            let released_count = (before - c.skip_release.len()) as u64;
             self.skips_released += released_count;
-            if released {
+            if released_count > 0 {
                 // Skip expiry changes in-tree eligibility without touching
                 // the runqueue, so the cached pick may not be leftmost.
                 c.rq.invalidate_pick_cache();
@@ -315,7 +353,9 @@ impl Scheduler {
         let c = &mut self.cpus[cpu.0];
         debug_assert!(c.current.is_none(), "cpu {cpu:?} already running");
         c.pick_round += 1;
-        c.skip_release.remove(&tid);
+        if let Some(i) = c.skip_release.iter().position(|&(t, _)| t == tid) {
+            c.skip_release.swap_remove(i);
+        }
 
         let same_as_last = c.last_ran == Some(tid);
         let prev_footprint = c
@@ -356,7 +396,7 @@ impl Scheduler {
             tasks.last_cpu[tid.0] = cpu;
         }
         self.cpus[cpu.0].last_ran = Some(tid);
-        self.set_active(cpu, true);
+        self.active.set(cpu.0, true);
         cost + self.take_penalty(tid)
     }
 
@@ -412,7 +452,7 @@ impl Scheduler {
             }
         }
         c.time.context_switches += 1;
-        self.set_active(cpu, false);
+        self.active.set(cpu.0, false);
         Some(tid)
     }
 
@@ -427,7 +467,7 @@ impl Scheduler {
 
         // Fast path: previous CPU idle (and still online and allowed).
         let last = tasks.last_cpu[tid.0];
-        if self.online[last.0] && tasks.allows(tid, last) && self.cpus[last.0].is_idle() {
+        if self.is_online(last) && tasks.allows(tid, last) && self.cpus[last.0].is_idle() {
             return (last, scan_cost);
         }
         // Otherwise pick the least-loaded CPU, preferring the task's node,
@@ -438,13 +478,13 @@ impl Scheduler {
         let mut best = self
             .topo
             .cpu_ids()
-            .find(|c| self.online[c.0])
+            .find(|&c| self.is_online(c))
             .unwrap_or(last);
         let mut best_key = (usize::MAX, usize::MAX, usize::MAX);
         let home = self.topo.node_of(last);
         let waker_node = self.topo.node_of(waker_cpu);
         for c in self.topo.cpu_ids() {
-            if !self.online[c.0] || !tasks.allows(tid, c) {
+            if !self.is_online(c) || !tasks.allows(tid, c) {
                 continue;
             }
             let load = self.cpus[c.0].load();
@@ -565,7 +605,11 @@ impl Scheduler {
         tasks.stats[tid.0].bwd_deschedules += 1;
         let others = self.cpus[cpu.0].rq.nr_schedulable().max(1) as u64;
         let release = self.cpus[cpu.0].pick_round + others;
-        self.cpus[cpu.0].skip_release.insert(tid, release);
+        let list = &mut self.cpus[cpu.0].skip_release;
+        match list.iter_mut().find(|(t, _)| *t == tid) {
+            Some(entry) => entry.1 = release,
+            None => list.push((tid, release)),
+        }
     }
 
     /// The effective vruntime of the task currently running on `cpu` at
@@ -585,15 +629,6 @@ impl Scheduler {
             tasks.vruntime[curr.0]
                 .saturating_add(stint * 1024 / tasks.weight[curr.0].max(1) as u64),
         )
-    }
-
-    /// Total number of schedulable tasks across all CPUs (used by the VB
-    /// auto-disable check in `ksync`).
-    pub fn total_schedulable(&self) -> usize {
-        self.cpus
-            .iter()
-            .map(|c| c.rq.nr_schedulable() + usize::from(c.current.is_some()))
-            .sum()
     }
 
     /// The vruntime region boundary for parked tasks (exposed for tests).

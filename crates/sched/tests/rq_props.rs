@@ -4,7 +4,7 @@
 //! park/unpark protocol under arbitrary operation sequences.
 
 use oversub_hw::CpuId;
-use oversub_sched::{CfsRq, VB_TAIL_BASE};
+use oversub_sched::{CfsRq, RqBoards, VB_TAIL_BASE};
 use oversub_task::{Action, FnProgram, Task, TaskId, TaskTable};
 use proptest::prelude::*;
 
@@ -105,8 +105,9 @@ proptest! {
     }
 
     /// The cached pick always agrees with the uncached ordered scan, and
-    /// the shared waiter board always equals "this queue has schedulable
-    /// waiters", under arbitrary op sequences including BWD skip flags.
+    /// the shared boards always read "this queue has schedulable waiters"
+    /// and "this queue holds any task", under arbitrary op sequences
+    /// including BWD skip flags.
     ///
     /// Skip-flag discipline mirrors the engine: *setting* a flag needs no
     /// cache action (the cache revalidates pickability on every hit), but
@@ -114,12 +115,11 @@ proptest! {
     /// the cached entry may have just become pickable.
     #[test]
     fn cached_pick_matches_scan(ops in arb_ops(), skips in proptest::collection::vec((0usize..8, 0u64..2), 0..64)) {
-        use std::cell::Cell;
         use std::rc::Rc;
 
         let mut rq = CfsRq::new();
-        let board = Rc::new(Cell::new(0usize));
-        rq.attach_waiter_board(Rc::clone(&board));
+        let boards = Rc::new(RqBoards::new(3));
+        rq.attach_boards(Rc::clone(&boards), 2);
         let mut tasks = mk_tasks();
         let mut queued = [false; 8];
         let mut skips = skips.into_iter();
@@ -173,10 +173,17 @@ proptest! {
                 }
             }
             prop_assert_eq!(
-                board.get(),
-                usize::from(rq.nr_schedulable() > 0),
+                boards.waiters.iter().collect::<Vec<_>>(),
+                if rq.nr_schedulable() > 0 { vec![2] } else { vec![] },
                 "waiter board out of sync"
             );
+            prop_assert_eq!(boards.waiters.len(), usize::from(rq.nr_schedulable() > 0));
+            prop_assert_eq!(
+                boards.occupied.iter().collect::<Vec<_>>(),
+                if rq.is_empty() { vec![] } else { vec![2] },
+                "occupied board out of sync"
+            );
+            prop_assert_eq!(boards.occupied.len(), usize::from(!rq.is_empty()));
         }
     }
 

@@ -135,6 +135,28 @@ fn idle_heavy_machine_is_bit_identical() {
 }
 
 #[test]
+fn multi_word_machine_with_migrations_is_bit_identical() {
+    // 130 CPUs: every scheduler bitset spans three words, the last one
+    // partial. Vanilla blocking with four threads per CPU makes both
+    // balancers migrate (at seed 13, 31 periodic passes and ~4,400 idle
+    // steals move tasks), so the board-driven searches (periodic_balance,
+    // idle_pull, the nohz kick) are pinned against the reference engine's
+    // full strides while they actually move tasks.
+    let profile = BenchProfile::by_name("streamcluster").expect("known benchmark");
+    let cfg = RunConfig::vanilla(130)
+        .with_machine(MachineSpec::PaperN(130))
+        .with_mech(Mechanisms::vanilla())
+        .with_seed(13);
+    let mk = || Box::new(Skeleton::scaled(profile, 520, 0.02).with_salt(13)) as Box<dyn Workload>;
+    assert_golden(mk, &cfg, "skeleton/520T/130c");
+    let report = run(&mut *mk(), &cfg);
+    assert!(
+        report.tasks.migrations() > 0,
+        "the arm must migrate to exercise the balancer"
+    );
+}
+
+#[test]
 fn web_serving_with_elasticity_is_bit_identical() {
     // Exercises the elastic path (core count changes mid-run) plus epoll.
     let cpus = WebServing::new(24, 8, 50_000.0).total_cpus();
